@@ -108,7 +108,7 @@ use crate::shard::{RebalanceAction, ShardedLsm, ShardedStats};
 use crate::validate::InvariantViolation;
 use crate::vfs::Vfs;
 use crate::wal::{
-    self, DegradeMode, DurabilityStats, RecoveryReport, RunMap, SnapshotMeta, SnapshotShard, Wal,
+    self, DegradeMode, DurabilityStats, RecoveryReport, RunMap, SnapshotMeta, SnapshotRuns, Wal,
 };
 
 /// Lock, recovering from poisoning: an applier panic must not turn every
@@ -371,6 +371,8 @@ struct DurabilityState {
     prev_runs: Mutex<RunMap>,
     /// Runs carried over unchanged instead of rewritten.
     runs_reused: AtomicU64,
+    /// Run bytes hashed by snapshots (levels without a cached digest).
+    run_bytes_hashed: AtomicU64,
     /// Garbage-collection removals that failed (surfaced, not swallowed).
     gc_failures: AtomicU64,
     /// Sticky health flag ([`DegradeMode::DegradeToVolatile`]): a
@@ -675,7 +677,7 @@ impl AdmittedLsm {
                     let shards = snapshot
                         .shards
                         .into_iter()
-                        .map(|shard| GpuLsm::from_levels(device.clone(), batch_size, shard.levels))
+                        .map(|levels| GpuLsm::from_levels(device.clone(), batch_size, levels))
                         .collect::<Result<Vec<_>>>()?;
                     let epoch = snapshot.epoch;
                     let service = ShardedLsm::from_parts(
@@ -749,6 +751,7 @@ impl AdmittedLsm {
             retired_retries: AtomicU64::new(0),
             prev_runs: Mutex::new(base_runs),
             runs_reused: AtomicU64::new(0),
+            run_bytes_hashed: AtomicU64::new(0),
             gc_failures: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             logging: AtomicBool::new(false),
@@ -1245,6 +1248,7 @@ impl AdmittedLsm {
             wal_retries: d.retired_retries.load(Ordering::Relaxed) + retries,
             snapshots: d.snapshots.load(Ordering::Relaxed),
             runs_reused: d.runs_reused.load(Ordering::Relaxed),
+            run_bytes_hashed: d.run_bytes_hashed.load(Ordering::Relaxed),
             gc_failures: d.gc_failures.load(Ordering::Relaxed),
             manifest_seq: d.manifest_seq.load(Ordering::Relaxed),
             degraded: d.degraded.load(Ordering::Relaxed),
@@ -1333,27 +1337,32 @@ fn maybe_snapshot(shared: &Shared, state: &QueueState) -> Result<()> {
 
 /// The snapshot body proper: sync the WAL, write the next manifest
 /// generation (reusing unchanged run files), rotate to a fresh segment,
-/// and garbage-collect superseded generations.
+/// and garbage-collect superseded generations.  Under each shard's read
+/// lock only the levels' cached digests are compared with the previous
+/// generation; a level is hashed only when it has no digest yet and
+/// encoded only when it changed, so the work follows the changed levels,
+/// not the resident size.
 fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
     // Everything logged so far must be on disk before the manifest can
     // supersede it (the manifest ends the previous generation).
     lock_ignore_poison(&d.wal).sync()?;
     let seq = d.manifest_seq.load(Ordering::Relaxed) + 1;
     let table = shared.service.table_snapshot();
-    let shards: Vec<SnapshotShard> = table
-        .shards
-        .iter()
-        .map(|shard| {
-            shard.with_read(|lsm| SnapshotShard {
-                levels: lsm
-                    .levels()
-                    .iter_occupied()
-                    .map(|(i, level)| (i, level.keys().to_vec(), level.values().to_vec()))
-                    .collect(),
-            })
-        })
-        .collect();
     let prev = lock_ignore_poison(&d.prev_runs).clone();
+    let mut snapshot = SnapshotRuns::default();
+    let mut hashed = 0u64;
+    for shard in &table.shards {
+        shard.with_read(|lsm| {
+            snapshot.begin_shard();
+            for (i, level) in lsm.levels().iter_occupied() {
+                if level.cached_run_digest().is_none() {
+                    hashed += wal::run_file_len(level.len());
+                }
+                snapshot.push_level(&prev, i, level.keys(), level.values(), level.run_digest());
+            }
+        });
+    }
+    d.run_bytes_hashed.fetch_add(hashed, Ordering::Relaxed);
     let (runs, reused) = wal::write_snapshot(
         &d.vfs,
         &d.config.dir,
@@ -1363,8 +1372,7 @@ fn snapshot_now(shared: &Shared, d: &DurabilityState) -> Result<()> {
             batch_size: shared.service.batch_size(),
         },
         &table.router.split_points(),
-        &shards,
-        &prev,
+        &snapshot,
     )?;
     let fresh = Wal::create(
         &d.vfs,
@@ -1985,5 +1993,88 @@ mod tests {
         assert!(lsm.stats().rebalance_splits >= 1);
         lsm.check_invariants().unwrap();
         assert_eq!(lsm.count(&[(0, MAX_KEY)]), vec![256]);
+    }
+
+    /// Bytes of the run files snapshot generation `seq` wrote itself.
+    fn run_bytes_written(dir: &std::path::Path, seq: u64) -> u64 {
+        let prefix = format!("run-{seq}-");
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap())
+            .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
+            .map(|e| e.metadata().unwrap().len())
+            .sum()
+    }
+
+    /// Submit batch `n` (one full batch), flush, and check that the
+    /// flush's snapshot hashed exactly the run bytes it wrote and reused
+    /// every level the carry chain left untouched.
+    fn check_incremental_snapshot(lsm: &AdmittedLsm, dir: &std::path::Path, b: u32, n: u32) {
+        let batches =
+            || lsm.shared.service.table_snapshot().shards[0].with_read(|l| l.num_batches());
+        let r = batches();
+        let before = lsm.durability_stats().unwrap();
+        let pairs: Vec<(u32, u32)> = (0..b).map(|i| (n * b + i, n)).collect();
+        lsm.insert(&pairs).unwrap();
+        lsm.flush().unwrap();
+        assert_eq!(batches(), r + 1);
+        let after = lsm.durability_stats().unwrap();
+        assert_eq!(after.manifest_seq, before.manifest_seq + 1);
+        let written = run_bytes_written(dir, after.manifest_seq);
+        assert!(written > 0, "the new level 0 or carry output is written");
+        assert_eq!(
+            after.run_bytes_hashed - before.run_bytes_hashed,
+            written,
+            "batch {n}: only the written runs are hashed"
+        );
+        // The carry chain replaces the trailing set bits of r; every level
+        // of r that r + 1 still holds is untouched and reused.
+        let untouched = u64::from((r & (r + 1)).count_ones());
+        assert_eq!(
+            after.runs_reused - before.runs_reused,
+            untouched,
+            "batch {n}"
+        );
+    }
+
+    #[test]
+    fn snapshot_hashes_only_changed_levels_also_after_reopen() {
+        let dir = std::env::temp_dir().join(format!(
+            "gpu-lsm-admission-incremental-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let b = 8u32;
+        let lsm_config = LsmConfig::default()
+            .admit_coalesce(false)
+            .durability(wal::DurabilityConfig::new(&dir));
+        let open = || {
+            AdmittedLsm::open_durable(device(), b as usize, 1, lsm_config.clone())
+                .unwrap()
+                .0
+        };
+        let lsm = open();
+        // Five batches: levels 0 and 2.  The checked batches then walk
+        // r = 5..9, including the full cascade 7 -> 8.
+        for n in 0..5 {
+            let pairs: Vec<(u32, u32)> = (0..b).map(|i| (n * b + i, n)).collect();
+            lsm.insert(&pairs).unwrap();
+            lsm.flush().unwrap();
+        }
+        for n in 5..9 {
+            check_incremental_snapshot(&lsm, &dir, b, n);
+        }
+        drop(lsm);
+        // Recovery seeds every loaded level's digest: the first snapshot
+        // after the reopen hashes only what it writes, not the recovered
+        // structure.
+        let lsm = open();
+        assert_eq!(lsm.durability_stats().unwrap().run_bytes_hashed, 0);
+        for n in 9..12 {
+            check_incremental_snapshot(&lsm, &dir, b, n);
+        }
+        lsm.check_invariants().unwrap();
+        drop(lsm);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

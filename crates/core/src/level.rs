@@ -37,8 +37,18 @@
 //! window proves the level cannot affect a query, and otherwise the
 //! narrowed search returns exactly the index a full search would.  Query
 //! results are therefore bit-identical with the acceleration on or off.
+//!
+//! ## Run digest
+//!
+//! A level also caches the digest of the run file it snapshots to
+//! ([`crate::wal`]), filled on first use by a durable snapshot or seeded by
+//! recovery from the verified manifest.  Levels are never mutated after
+//! construction — the carry chain only replaces them — so the cache cannot
+//! go stale, and a snapshot hashes only the levels created since the last
+//! one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use gpu_primitives::fence::FenceArray;
 use gpu_primitives::filter::{config_bits_per_key, BloomFilter};
@@ -100,13 +110,15 @@ pub struct LevelProbe {
 /// for long-lived bulk-built levels (and arena-off operation), or a
 /// reserved slab-arena region for carry-chain outputs.  Cloning a level
 /// deep-copies arena-backed storage to owned vectors, so clones never alias
-/// the arena.
+/// the arena (and keep the run digest cache: the contents are the same).
 #[derive(Debug, Clone, Default)]
 pub struct Level {
     keys: Storage,
     values: Storage,
     filter: Option<BloomFilter>,
     fences: Option<FenceArray>,
+    /// Digest of the level's run file, computed on first use.
+    run_digest: OnceLock<u64>,
 }
 
 /// Level equality is over contents only; the filter and fences are a pure
@@ -160,6 +172,7 @@ impl Level {
             values,
             filter,
             fences,
+            run_digest: OnceLock::new(),
         }
     }
 
@@ -187,6 +200,17 @@ impl Level {
             values: values.into(),
             filter,
             fences,
+            run_digest: OnceLock::new(),
+        }
+    }
+
+    /// Seed the run digest cache with a digest already verified against
+    /// exactly these contents (recovery loads each run after checking its
+    /// file digest).
+    pub(crate) fn with_run_digest(self, digest: u64) -> Self {
+        Level {
+            run_digest: OnceLock::from(digest),
+            ..self
         }
     }
 
@@ -342,6 +366,19 @@ impl Level {
             .chain(self.values.arena_span())
     }
 
+    /// Digest of the run file this level snapshots to
+    /// ([`crate::wal::run_digest`]), hashed on first use and cached.
+    pub(crate) fn run_digest(&self) -> u64 {
+        *self
+            .run_digest
+            .get_or_init(|| crate::wal::run_digest(self.keys(), self.values()))
+    }
+
+    /// The cached run digest, if one was computed or seeded.
+    pub(crate) fn cached_run_digest(&self) -> Option<u64> {
+        self.run_digest.get().copied()
+    }
+
     /// Memory footprint of the level in bytes (keys + values).
     pub fn size_bytes(&self) -> usize {
         self.keys.len() * std::mem::size_of::<EncodedKey>()
@@ -453,6 +490,18 @@ mod tests {
         let (k, v) = level.into_parts();
         assert_eq!(k.len(), 3);
         assert_eq!(v.len(), 3);
+    }
+
+    #[test]
+    fn run_digest_is_cached_and_survives_clones() {
+        let level = level_of(&[1, 2, 3]);
+        assert_eq!(level.cached_run_digest(), None);
+        let digest = level.run_digest();
+        assert_eq!(digest, crate::wal::run_digest(level.keys(), level.values()));
+        assert_eq!(level.cached_run_digest(), Some(digest));
+        assert_eq!(level.clone().cached_run_digest(), Some(digest));
+        let seeded = level_of(&[1, 2, 3]).with_run_digest(digest);
+        assert_eq!(seeded.cached_run_digest(), Some(digest));
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::batch::UpdateBatch;
 use crate::error::{LsmError, Result};
 use crate::key::{encode_regular, placebo, EncodedKey, Key, Value, MAX_KEY};
 use crate::level::{Level, LevelSet};
+use crate::wal::LoadedRun;
 
 /// Lenient env fallback for the arena master switch (`LSM_ARENA`; default
 /// on).  The strict, erroring parse of the same knob lives in
@@ -341,20 +342,27 @@ impl GpuLsm {
         }
     }
 
-    /// Reassemble an LSM from persisted level dumps (crash recovery): each
-    /// `(index, encoded keys, values)` triple becomes level `index`
-    /// verbatim, so the recovered structure is element-identical to the
-    /// snapshotted one.  Acceleration structures (filters, fences) are
-    /// derived data and rebuilt; `num_batches` follows from the occupied
-    /// level indices (level `i` holds `b·2^i` elements, §III-A).
+    /// Reassemble an LSM from persisted runs (crash recovery): each run
+    /// becomes its level verbatim, so the recovered structure is
+    /// element-identical to the snapshotted one.  Acceleration structures
+    /// (filters, fences) are derived data and rebuilt; the run's verified
+    /// file digest seeds the level's digest cache, so the first snapshot
+    /// after recovery does not rehash it.  `num_batches` follows from the
+    /// occupied level indices (level `i` holds `b·2^i` elements, §III-A).
     pub(crate) fn from_levels(
         device: Arc<Device>,
         batch_size: usize,
-        levels: Vec<(usize, Vec<EncodedKey>, Vec<Value>)>,
+        levels: Vec<LoadedRun>,
     ) -> Result<Self> {
         let mut lsm = GpuLsm::new(device, batch_size)?;
         let mut num_batches = 0usize;
-        for (i, keys, values) in levels {
+        for LoadedRun {
+            level: i,
+            keys,
+            values,
+            digest,
+        } in levels
+        {
             let expected = batch_size
                 .checked_shl(i as u32)
                 .filter(|&len| len == keys.len() && len == values.len());
@@ -373,7 +381,7 @@ impl GpuLsm {
                     context: format!("level {i} appears twice in the snapshot"),
                 });
             }
-            let level = Level::from_sorted(keys, values);
+            let level = Level::from_sorted(keys, values).with_run_digest(digest);
             lsm.record_accel_build(&level);
             lsm.levels.place(i, level);
             num_batches += 1 << i;

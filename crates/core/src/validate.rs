@@ -91,6 +91,17 @@ impl GpuLsm {
                     }
                 }
             }
+            // A filled run digest cache must still describe the level: a
+            // stale one would make the next snapshot reuse a run file that
+            // no longer matches the level's contents.
+            if let Some(digest) = level.cached_run_digest() {
+                let actual = crate::wal::run_digest(keys, level.values());
+                if actual != digest {
+                    return Err(InvariantViolation(format!(
+                        "level {i} cached run digest {digest:#x} is stale (contents hash to {actual:#x})"
+                    )));
+                }
+            }
         }
 
         self.check_arena_invariants()
@@ -175,6 +186,22 @@ mod tests {
             lsm.update(&batch).unwrap();
             lsm.check_invariants().expect("invariants after batch");
         }
+    }
+
+    #[test]
+    fn stale_run_digest_cache_is_caught() {
+        let run = |digest| crate::wal::LoadedRun {
+            level: 0,
+            keys: vec![2, 4, 6, 8],
+            values: vec![1, 2, 3, 4],
+            digest,
+        };
+        let good = crate::wal::run_digest(&[2, 4, 6, 8], &[1, 2, 3, 4]);
+        let lsm = GpuLsm::from_levels(device(), 4, vec![run(good)]).unwrap();
+        lsm.check_invariants().unwrap();
+        let stale = GpuLsm::from_levels(device(), 4, vec![run(good ^ 1)]).unwrap();
+        let err = stale.check_invariants().unwrap_err();
+        assert!(err.0.contains("stale"), "{err}");
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! list with run checksums) plus one **run file** per occupied level.
 //! Snapshots are *incremental*: a level whose run digest matches the
 //! previous generation keeps referencing the already-written file instead
-//! of rewriting it, so a flush-barrier snapshot only pays for changed
-//! runs.  The admission layer writes a snapshot at quiescent flush
-//! barriers and after shard split/merge epoch bumps, then rotates the WAL
-//! to a fresh segment keyed by the new manifest sequence number and
-//! garbage-collects the superseded generation (sparing carried-over
-//! runs).  Manifests become visible via an atomic tmp-write + rename, so
-//! a torn manifest write can never shadow a valid older one.
+//! of rewriting it.  Levels are immutable, so each caches its digest (see
+//! [`crate::level`]) and a flush-barrier snapshot only hashes, encodes and
+//! writes the runs that changed.  The admission layer writes a snapshot at
+//! quiescent flush barriers and after shard split/merge epoch bumps, then
+//! rotates the WAL to a fresh segment keyed by the new manifest sequence
+//! number and garbage-collects the superseded generation (sparing
+//! carried-over runs).  Manifests become visible via an atomic tmp-write +
+//! rename, so a torn manifest write can never shadow a valid older one.
 //!
 //! Every filesystem operation goes through the [`crate::vfs::Vfs`] seam.
 //! Transient IO errors on append/fsync are retried per [`RetryPolicy`];
@@ -223,6 +224,10 @@ pub struct DurabilityStats {
     /// Run files carried over unchanged from the previous generation
     /// instead of being rewritten (incremental snapshots).
     pub runs_reused: u64,
+    /// Run bytes hashed by snapshots to decide reuse.  Levels cache their
+    /// digest, so this grows only by the runs created since the previous
+    /// snapshot (recovery seeds the cache of every loaded run).
+    pub run_bytes_hashed: u64,
     /// Garbage-collection removals (or whole sweeps) that failed.
     pub gc_failures: u64,
     /// Sequence number of the newest durable manifest (0 = none yet).
@@ -252,15 +257,25 @@ pub struct RecoveryReport {
 // Checksums and little-endian framing helpers
 // ----------------------------------------------------------------------
 
-/// FNV-1a 64-bit — cheap, dependency-free, and plenty for torn-write
-/// detection (this is not an adversarial setting).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64-bit hash over `bytes`.  The multiplier is
+/// `0x1_0000_01b3`, not the published FNV-64 prime `0x100_0000_01b3`;
+/// every existing record, run and manifest checksum uses it, so it is part
+/// of the on-disk format.
+fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x1_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a 64-bit — cheap, dependency-free, and plenty for torn-write
+/// detection (this is not an adversarial setting).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
 }
 
 fn io_err(context: &str, path: &Path, e: std::io::Error) -> LsmError {
@@ -669,14 +684,6 @@ impl Wal {
 // Snapshots: manifest + run files
 // ----------------------------------------------------------------------
 
-/// One shard's contribution to a snapshot: its occupied levels as raw
-/// `(level index, encoded keys, values)` dumps.
-#[derive(Debug)]
-pub(crate) struct SnapshotShard {
-    /// Occupied levels, smallest index first.
-    pub levels: Vec<(usize, Vec<EncodedKey>, Vec<Value>)>,
-}
-
 /// A run file referenced by a manifest: which generation physically wrote
 /// it (`file_seq` — older than the manifest's own seq when the run was
 /// carried over unchanged), plus the length and digest that let the next
@@ -690,6 +697,69 @@ pub(crate) struct RunRef {
 
 /// Live run files keyed by `(shard, level)`.
 pub(crate) type RunMap = HashMap<(usize, usize), RunRef>;
+
+/// How one occupied level enters a snapshot generation.
+#[derive(Debug)]
+pub(crate) enum RunSource {
+    /// Same length and digest as the previous generation's run: keep
+    /// referencing its file.
+    Reused(RunRef),
+    /// Changed: the new run file's bytes.
+    Fresh {
+        len: u64,
+        digest: u64,
+        bytes: Vec<u8>,
+    },
+}
+
+/// The write side of a snapshot: every shard's occupied levels (smallest
+/// index first), each either reused or encoded straight from the live
+/// level's slices, so no level is copied.
+#[derive(Debug, Default)]
+pub(crate) struct SnapshotRuns {
+    pub shards: Vec<Vec<(usize, RunSource)>>,
+}
+
+impl SnapshotRuns {
+    /// Start the next shard's level list.
+    pub fn begin_shard(&mut self) {
+        self.shards.push(Vec::new());
+    }
+
+    /// Add level `level` of the current shard, whose run digest is
+    /// `digest`: reused when `prev` holds a run for the same slot with the
+    /// same length and digest, otherwise encoded.
+    pub fn push_level(
+        &mut self,
+        prev: &RunMap,
+        level: usize,
+        keys: &[EncodedKey],
+        values: &[Value],
+        digest: u64,
+    ) {
+        let shard = self.shards.len() - 1;
+        let len = keys.len() as u64;
+        let source = match prev.get(&(shard, level)) {
+            Some(&r) if r.digest == digest && r.len == len => RunSource::Reused(r),
+            _ => RunSource::Fresh {
+                len,
+                digest,
+                bytes: encode_run(keys, values),
+            },
+        };
+        self.shards[shard].push((level, source));
+    }
+}
+
+/// One run loaded back from disk: level `level`'s arrays and the digest
+/// its file was verified against.
+#[derive(Debug)]
+pub(crate) struct LoadedRun {
+    pub level: usize,
+    pub keys: Vec<EncodedKey>,
+    pub values: Vec<Value>,
+    pub digest: u64,
+}
 
 /// Identity of a snapshot generation.
 #[derive(Debug, Clone, Copy)]
@@ -706,7 +776,8 @@ pub(crate) struct LoadedSnapshot {
     pub epoch: u64,
     pub batch_size: usize,
     pub split_points: Vec<Key>,
-    pub shards: Vec<SnapshotShard>,
+    /// Every shard's runs, smallest level index first.
+    pub shards: Vec<Vec<LoadedRun>>,
     /// The run files this manifest references (seeds the next snapshot's
     /// reuse check).
     pub run_refs: RunMap,
@@ -714,11 +785,19 @@ pub(crate) struct LoadedSnapshot {
     pub corrupt_skipped: u64,
 }
 
+/// The run file header: magic, a reserved zero word, element count.
+fn run_header(len: usize) -> [u8; 16] {
+    let mut header = [0u8; 16];
+    header[..4].copy_from_slice(&RUN_MAGIC.to_le_bytes());
+    header[8..].copy_from_slice(&(len as u64).to_le_bytes());
+    header
+}
+
+/// The run file of `(keys, values)`: the header, then the keys and the
+/// values as little-endian words.
 fn encode_run(keys: &[EncodedKey], values: &[Value]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + keys.len() * 8);
-    put_u32(&mut out, RUN_MAGIC);
-    put_u32(&mut out, 0); // reserved
-    put_u64(&mut out, keys.len() as u64);
+    let mut out = Vec::with_capacity(run_file_len(keys.len()) as usize);
+    out.extend_from_slice(&run_header(keys.len()));
     for &k in keys {
         put_u32(&mut out, k);
     }
@@ -728,10 +807,33 @@ fn encode_run(keys: &[EncodedKey], values: &[Value]) -> Vec<u8> {
     out
 }
 
+/// The FNV-1a digest of the run file [`encode_run`] produces for
+/// `(keys, values)`, streamed over the same bytes without materializing
+/// them.  This is the digest manifests record and recovery verifies.
+pub(crate) fn run_digest(keys: &[EncodedKey], values: &[Value]) -> u64 {
+    let mut hash = fnv1a_extend(FNV_OFFSET, &run_header(keys.len()));
+    for &k in keys {
+        hash = fnv1a_extend(hash, &k.to_le_bytes());
+    }
+    for &v in values {
+        hash = fnv1a_extend(hash, &v.to_le_bytes());
+    }
+    hash
+}
+
+/// Size in bytes of the run file of a `len`-element level.
+pub(crate) fn run_file_len(len: usize) -> u64 {
+    16 + 8 * len as u64
+}
+
+/// Decode a run file.  The reserved header word must be zero, as every
+/// writer leaves it, so a decoded run's file bytes are exactly what
+/// [`encode_run`] produces for its arrays — which lets recovery seed
+/// each level's digest cache with the verified file digest.
 fn decode_run(bytes: &[u8], path: &Path) -> Result<(Vec<EncodedKey>, Vec<Value>)> {
     let mut cur = Cursor::new(bytes);
     let header = (cur.u32(), cur.u32(), cur.u64());
-    let (Some(RUN_MAGIC), Some(_), Some(len)) = header else {
+    let (Some(RUN_MAGIC), Some(0), Some(len)) = header else {
         return Err(corrupt("bad run header in", path));
     };
     let len = usize::try_from(len).map_err(|_| corrupt("oversized run in", path))?;
@@ -755,20 +857,18 @@ fn decode_run(bytes: &[u8], path: &Path) -> Result<(Vec<EncodedKey>, Vec<Value>)
     Ok((keys, values))
 }
 
-/// Write snapshot generation `meta.seq`: every *changed* run file (synced),
-/// then the manifest via tmp-write + fsync + atomic rename + dir sync.
-/// A level whose encoded run matches `prev` by length and digest reuses
-/// the already-durable file from the earlier generation instead of
-/// rewriting it.  Only the rename makes the generation visible, so a
-/// crash anywhere in here leaves the previous generation authoritative.
+/// Write snapshot generation `meta.seq`: every fresh run file of `runs`
+/// (synced), then the manifest via tmp-write + fsync + atomic rename + dir
+/// sync.  Reused runs keep referencing the already-durable file of an
+/// earlier generation.  Only the rename makes the generation visible, so
+/// a crash anywhere in here leaves the previous generation authoritative.
 /// Returns the new generation's run map and how many runs were reused.
 pub(crate) fn write_snapshot(
     vfs: &Arc<dyn Vfs>,
     dir: &Path,
     meta: SnapshotMeta,
     split_points: &[Key],
-    shards: &[SnapshotShard],
-    prev: &RunMap,
+    snapshot: &SnapshotRuns,
 ) -> Result<(RunMap, u64)> {
     let mut runs = RunMap::new();
     let mut reused = 0u64;
@@ -782,32 +882,25 @@ pub(crate) fn write_snapshot(
     for &p in split_points {
         put_u32(&mut manifest, p);
     }
-    put_u32(&mut manifest, shards.len() as u32);
-    for (s, shard) in shards.iter().enumerate() {
-        put_u32(&mut manifest, shard.levels.len() as u32);
-        for (i, keys, values) in &shard.levels {
-            let run = encode_run(keys, values);
-            let digest = fnv1a(&run);
-            let len = keys.len() as u64;
-            let carried = prev
-                .get(&(s, *i))
-                .copied()
-                .filter(|r| r.digest == digest && r.len == len);
-            let run_ref = match carried {
-                Some(r) => {
+    put_u32(&mut manifest, snapshot.shards.len() as u32);
+    for (s, levels) in snapshot.shards.iter().enumerate() {
+        put_u32(&mut manifest, levels.len() as u32);
+        for (i, source) in levels {
+            let run_ref = match source {
+                RunSource::Reused(r) => {
                     reused += 1;
-                    r
+                    *r
                 }
-                None => {
+                RunSource::Fresh { len, digest, bytes } => {
                     let path = run_path(dir, meta.seq, s, *i);
-                    vfs.write(&path, &run)
+                    vfs.write(&path, bytes)
                         .map_err(|e| io_err("write run", &path, e))?;
                     vfs.sync_file(&path)
                         .map_err(|e| io_err("sync run", &path, e))?;
                     RunRef {
                         file_seq: meta.seq,
-                        len,
-                        digest,
+                        len: *len,
+                        digest: *digest,
                     }
                 }
             };
@@ -900,9 +993,14 @@ fn load_manifest(vfs: &Arc<dyn Vfs>, dir: &Path, seq: u64) -> Result<LoadedSnaps
                     digest,
                 },
             );
-            levels.push((i as usize, keys, values));
+            levels.push(LoadedRun {
+                level: i as usize,
+                keys,
+                values,
+                digest,
+            });
         }
-        shards.push(SnapshotShard { levels });
+        shards.push(levels);
     }
     if cur.pos != body.len() {
         return Err(corrupt("trailing bytes in manifest", &path));
@@ -1041,6 +1139,68 @@ mod tests {
             epoch,
             batch_size,
         }
+    }
+
+    /// One raw level: `(level index, encoded keys, values)`.
+    type RawLevel = (usize, Vec<EncodedKey>, Vec<Value>);
+
+    /// The write-side description of `shards` against the previous
+    /// generation `prev`, built the way a live snapshot builds it.
+    fn plan(prev: &RunMap, shards: &[Vec<RawLevel>]) -> SnapshotRuns {
+        let mut runs = SnapshotRuns::default();
+        for levels in shards {
+            runs.begin_shard();
+            for (i, keys, values) in levels {
+                runs.push_level(prev, *i, keys, values, run_digest(keys, values));
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn streamed_run_digest_matches_the_encoded_file() {
+        let mut cases: Vec<(Vec<u32>, Vec<u32>)> = vec![(vec![], vec![]), (vec![7], vec![70])];
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        for len in [2usize, 3, 64, 1000] {
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u32
+            };
+            let keys = (0..len).map(|_| next()).collect();
+            let values = (0..len).map(|_| next()).collect();
+            cases.push((keys, values));
+        }
+        for (keys, values) in &cases {
+            let run = encode_run(keys, values);
+            assert_eq!(run.len() as u64, run_file_len(keys.len()));
+            assert_eq!(run_digest(keys, values), fnv1a(&run), "len {}", keys.len());
+        }
+    }
+
+    #[test]
+    fn run_encoding_is_pinned() {
+        // Any drift in the on-disk run encoding (header, word order,
+        // endianness) or its checksum must fail here: recovery verifies
+        // existing run files against digests computed this way.
+        let (keys, values) = ([2u32, 5, 9, 12], [1u32, 2, 3, 4]);
+        assert_eq!(
+            encode_run(&keys, &values),
+            [
+                0x46, 0x4e, 0x55, 0x52, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 5, 0, 0, 0,
+                9, 0, 0, 0, 12, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0,
+            ]
+        );
+        assert_eq!(run_digest(&keys, &values), 0xb874_b216_2719_0964);
+        assert_eq!(run_digest(&[], &[]), 0x1bf6_f32f_6d97_bcd6);
+    }
+
+    #[test]
+    fn run_with_nonzero_reserved_word_is_rejected() {
+        let mut run = encode_run(&[3], &[7]);
+        run[4] = 1;
+        assert!(decode_run(&run, Path::new("run")).is_err());
     }
 
     #[test]
@@ -1204,20 +1364,22 @@ mod tests {
     fn snapshot_round_trips_and_newest_valid_wins() {
         let dir = temp_dir("snapshot");
         let vfs = real();
-        let shard = SnapshotShard {
-            levels: vec![(0, vec![2, 5, 9, 12], vec![1, 2, 3, 4])],
-        };
-        write_snapshot(&vfs, &dir, meta(1, 0, 4), &[], &[shard], &RunMap::new()).unwrap();
-        let shard2 = SnapshotShard {
-            levels: vec![(1, vec![2, 5, 9, 12, 14, 17, 21, 25], vec![0; 8])],
-        };
+        let shard = vec![(0, vec![2, 5, 9, 12], vec![1, 2, 3, 4])];
+        write_snapshot(
+            &vfs,
+            &dir,
+            meta(1, 0, 4),
+            &[],
+            &plan(&RunMap::new(), &[shard]),
+        )
+        .unwrap();
+        let shard2 = vec![(1, vec![2, 5, 9, 12, 14, 17, 21, 25], vec![0; 8])];
         write_snapshot(
             &vfs,
             &dir,
             meta(2, 3, 4),
             &[1000],
-            &[shard2, SnapshotShard { levels: vec![] }],
-            &RunMap::new(),
+            &plan(&RunMap::new(), &[shard2, vec![]]),
         )
         .unwrap();
         let loaded = load_newest_snapshot(&vfs, &dir).unwrap().unwrap();
@@ -1226,8 +1388,10 @@ mod tests {
         assert_eq!(loaded.batch_size, 4);
         assert_eq!(loaded.split_points, vec![1000]);
         assert_eq!(loaded.shards.len(), 2);
-        assert_eq!(loaded.shards[0].levels[0].0, 1);
-        assert_eq!(loaded.shards[0].levels[0].1.len(), 8);
+        assert_eq!(loaded.shards[0][0].level, 1);
+        assert_eq!(loaded.shards[0][0].keys.len(), 8);
+        let run = &loaded.shards[0][0];
+        assert_eq!(run.digest, run_digest(&run.keys, &run.values));
         assert_eq!(loaded.corrupt_skipped, 0);
         assert_eq!(loaded.run_refs[&(0, 1)].file_seq, 2);
 
@@ -1247,18 +1411,23 @@ mod tests {
         let dir = temp_dir("incremental");
         let vfs = real();
         let stable = (0usize, vec![2u32, 5, 9, 12], vec![1u32, 2, 3, 4]);
-        let shards1 = [SnapshotShard {
-            levels: vec![stable.clone(), (1, vec![14, 17], vec![7, 8])],
-        }];
-        let (runs1, reused1) =
-            write_snapshot(&vfs, &dir, meta(1, 0, 2), &[], &shards1, &RunMap::new()).unwrap();
+        let shards1 = [vec![stable.clone(), (1, vec![14, 17], vec![7, 8])]];
+        let (runs1, reused1) = write_snapshot(
+            &vfs,
+            &dir,
+            meta(1, 0, 2),
+            &[],
+            &plan(&RunMap::new(), &shards1),
+        )
+        .unwrap();
         assert_eq!(reused1, 0);
         // Generation 2: level 0 unchanged, level 1 changed.
-        let shards2 = [SnapshotShard {
-            levels: vec![stable.clone(), (1, vec![14, 17, 21, 25], vec![7, 8, 9, 10])],
-        }];
+        let shards2 = [vec![
+            stable.clone(),
+            (1, vec![14, 17, 21, 25], vec![7, 8, 9, 10]),
+        ]];
         let (runs2, reused2) =
-            write_snapshot(&vfs, &dir, meta(2, 0, 2), &[], &shards2, &runs1).unwrap();
+            write_snapshot(&vfs, &dir, meta(2, 0, 2), &[], &plan(&runs1, &shards2)).unwrap();
         assert_eq!(reused2, 1);
         assert_eq!(runs2[&(0, 0)].file_seq, 1, "level 0 carried over");
         assert_eq!(runs2[&(0, 1)].file_seq, 2, "level 1 rewritten");
@@ -1271,7 +1440,7 @@ mod tests {
         // And the surviving generation still loads in full.
         let loaded = load_newest_snapshot(&vfs, &dir).unwrap().unwrap();
         assert_eq!(loaded.seq, 2);
-        assert_eq!(loaded.shards[0].levels[0].1, stable.1);
+        assert_eq!(loaded.shards[0][0].keys, stable.1);
         assert_eq!(loaded.run_refs[&(0, 0)].file_seq, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1280,13 +1449,9 @@ mod tests {
     fn garbage_collection_keeps_current_generation() {
         let dir = temp_dir("gc");
         let vfs = real();
-        let empty = || SnapshotShard {
-            levels: vec![(0, vec![3], vec![7])],
-        };
-        let (_, _) =
-            write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &[empty()], &RunMap::new()).unwrap();
-        let (runs2, _) =
-            write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &[empty()], &RunMap::new()).unwrap();
+        let runs = || plan(&RunMap::new(), &[vec![(0, vec![3], vec![7])]]);
+        let (_, _) = write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &runs()).unwrap();
+        let (runs2, _) = write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &runs()).unwrap();
         drop(Wal::create(&vfs, segment_path(&dir, 1), 1, RetryPolicy::none()).unwrap());
         drop(Wal::create(&vfs, segment_path(&dir, 2), 1, RetryPolicy::none()).unwrap());
         assert_eq!(collect_garbage(&vfs, &dir, 2, &runs2), 0);
@@ -1303,12 +1468,9 @@ mod tests {
     fn gc_failures_are_counted_not_swallowed() {
         let dir = temp_dir("gcfail");
         let vfs = real();
-        let shard = || SnapshotShard {
-            levels: vec![(0, vec![3], vec![7])],
-        };
-        write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &[shard()], &RunMap::new()).unwrap();
-        let (runs2, _) =
-            write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &[shard()], &RunMap::new()).unwrap();
+        let runs = || plan(&RunMap::new(), &[vec![(0, vec![3], vec![7])]]);
+        write_snapshot(&vfs, &dir, meta(1, 0, 1), &[], &runs()).unwrap();
+        let (runs2, _) = write_snapshot(&vfs, &dir, meta(2, 0, 1), &[], &runs()).unwrap();
         let faulty: Arc<dyn Vfs> = Arc::new(FaultVfs::scripted(vec![Fault::permanent(
             FaultOp::Remove,
             0,
