@@ -92,7 +92,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::batch::{Op, UpdateBatch};
@@ -146,62 +146,9 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
 /// the coalescing window.
 pub const COALESCE_WINDOW: usize = 16;
 
-/// The `LSM_ADMIT_QUEUE` environment knob: per-shard queue capacity in
-/// batches (minimum 1, default [`DEFAULT_QUEUE_CAPACITY`]).
-fn env_queue_capacity() -> usize {
-    static CAP: OnceLock<usize> = OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("LSM_ADMIT_QUEUE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map_or(DEFAULT_QUEUE_CAPACITY, |c| c.max(1))
-    })
-}
-
-/// The `LSM_ADMIT_COALESCE` environment knob: `0` disables coalescing (the
-/// applier replays batches exactly as submitted), anything else (default)
-/// enables it.
-fn env_coalesce() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("LSM_ADMIT_COALESCE")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .is_none_or(|v| v != 0)
-    })
-}
-
-/// The `LSM_SUBMIT_TIMEOUT_MS` environment knob: how long `submit` may
-/// block on backpressure before returning [`LsmError::SubmitTimedOut`]
-/// (unset or 0 = wait forever, today's behavior).
-fn env_submit_timeout() -> Option<Duration> {
-    static T: OnceLock<Option<Duration>> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("LSM_SUBMIT_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    })
-}
-
-/// The `LSM_FLUSH_TIMEOUT_MS` environment knob: how long `flush` may wait
-/// for the drain barrier before returning [`LsmError::FlushTimedOut`]
-/// (unset or 0 = wait forever).
-fn env_flush_timeout() -> Option<Duration> {
-    static T: OnceLock<Option<Duration>> = OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("LSM_FLUSH_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-    })
-}
-
-/// Tuning of one admission layer (see the `LSM_ADMIT_*` environment knobs
-/// for the process-wide defaults, and [`crate::LsmConfig`] for the
-/// explicit per-instance route).
+/// Tuning of one admission layer.  [`crate::LsmConfig::admission`] derives
+/// it from a config (the `LSM_ADMIT_*` knobs reach it through a service's
+/// resolved config); `Default` is the built-in constants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Bound of each shard's queue, in batches; submitters block when the
@@ -226,11 +173,11 @@ pub struct AdmissionConfig {
 impl Default for AdmissionConfig {
     fn default() -> Self {
         AdmissionConfig {
-            queue_capacity: env_queue_capacity(),
-            coalesce: env_coalesce(),
+            queue_capacity: DEFAULT_QUEUE_CAPACITY,
+            coalesce: true,
             read_your_writes: false,
-            submit_deadline: env_submit_timeout(),
-            flush_deadline: env_flush_timeout(),
+            submit_deadline: None,
+            flush_deadline: None,
         }
     }
 }
@@ -534,9 +481,9 @@ pub struct AdmittedLsm {
 }
 
 impl AdmittedLsm {
-    /// Wrap `service` with the admission configuration derived from the
-    /// service's [`crate::LsmConfig`] (explicit knobs first, `LSM_ADMIT_*`
-    /// environment fallback for the rest).
+    /// Wrap `service` with the admission configuration of the service's
+    /// resolved [`crate::LsmConfig`] (explicit knobs first, then the
+    /// `LSM_ADMIT_*` environment the service was built under).
     pub fn new(service: ShardedLsm) -> Self {
         let config = service.config().admission();
         Self::with_config(service, config)
@@ -635,6 +582,7 @@ impl AdmittedLsm {
         num_shards: usize,
         config: LsmConfig,
     ) -> Result<(AdmittedLsm, RecoveryReport)> {
+        let config = config.resolve()?;
         let Some(dcfg) = config.durability.clone() else {
             return Err(LsmError::Durability {
                 context: "open_durable requires LsmConfig::durability to be set".to_string(),
@@ -677,7 +625,9 @@ impl AdmittedLsm {
                     let shards = snapshot
                         .shards
                         .into_iter()
-                        .map(|levels| GpuLsm::from_levels(device.clone(), batch_size, levels))
+                        .map(|levels| {
+                            GpuLsm::from_levels(device.clone(), batch_size, levels, &config)
+                        })
                         .collect::<Result<Vec<_>>>()?;
                     let epoch = snapshot.epoch;
                     let service = ShardedLsm::from_parts(
@@ -691,7 +641,8 @@ impl AdmittedLsm {
                     (service, snapshot.seq, epoch, run_refs)
                 }
                 None => {
-                    let service = ShardedLsm::with_config(device, batch_size, num_shards, config)?;
+                    let router = ShardRouter::new(num_shards)?;
+                    let service = ShardedLsm::build(device, batch_size, router, config, None)?;
                     let epoch = service.epoch();
                     (service, 0, epoch, RunMap::new())
                 }

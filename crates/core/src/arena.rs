@@ -166,7 +166,7 @@ struct ArenaInner {
 #[derive(Debug)]
 pub struct Arena {
     inner: Mutex<ArenaInner>,
-    min_chunk_words: usize,
+    pub(crate) min_chunk_words: usize,
 }
 
 impl Arena {

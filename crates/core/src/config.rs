@@ -1,22 +1,25 @@
 //! Typed configuration for the LSM stack.
 //!
-//! [`LsmConfig`] is the explicit, programmatic way to set every knob that
-//! was historically an `LSM_*` environment variable, plus the thresholds
-//! for online shard rebalancing ([`RebalanceConfig`]).  The environment
-//! variables still work — [`LsmConfig::from_env`] reads them into a config,
-//! and the per-module env fallbacks remain in place for fields left unset —
-//! but they are now the *fallback* layer: an explicit config always wins.
+//! [`LsmConfig`] is the one way to set the knobs of a structure: the Bloom
+//! filter sizing, the lookup dispatch, the slab arena, the bulk-get group,
+//! admission, durability and the thresholds for online shard rebalancing
+//! ([`RebalanceConfig`]).
 //!
-//! Scope of each knob:
+//! Every knob is **per instance** and is resolved **once**, when a public
+//! constructor (`GpuLsm::new`/`with_config`/`bulk_build`,
+//! `ShardedLsm::new`/`with_config`/`with_router`/`bulk_build`,
+//! `AdmittedLsm::open_durable`) builds the structure: a field set on the
+//! config wins, a field left `None` takes the strictly parsed `LSM_*`
+//! environment variable ([`LsmConfig::from_env`]), and a field still unset
+//! takes the built-in default.  A malformed variable fails construction
+//! with [`LsmError::InvalidEnvValue`].  After that nothing reads the
+//! environment: shard splits and merges, cleanup and crash recovery reuse
+//! the resolved config of the structure they rebuild, and two structures in
+//! one process never see each other's settings.
 //!
-//! * `bulk_lookup_frac`, admission knobs and `rebalance` are **per
-//!   instance**: they only affect the structure constructed with this
-//!   config.
-//! * `bloom_bits` and `par_cutoff` are **process-wide**: the Bloom filter
-//!   sizing and the parallel-dispatch cutoff live in global calibration
-//!   state shared by every LSM in the process.  Constructing a structure
-//!   with these fields set installs the corresponding global override
-//!   (fields left `None` touch nothing).
+//! The worker pool's sequential cutoff (`LSM_PAR_CUTOFF`) is not an
+//! `LsmConfig` field: the vendored pool reads it once per process.
+//! [`LsmConfig::from_env`] still rejects a malformed value of it.
 
 use std::time::Duration;
 
@@ -65,9 +68,10 @@ impl Default for RebalanceConfig {
 }
 
 /// Typed configuration for [`crate::GpuLsm`], [`crate::ShardedLsm`] and
-/// [`crate::AdmittedLsm`].  `None` fields fall back to the corresponding
-/// `LSM_*` environment variable (if set) and then to the built-in default;
-/// see the crate README's knob table for the mapping.
+/// [`crate::AdmittedLsm`].  `None` fields are filled at construction from
+/// the corresponding `LSM_*` environment variable (if set) and otherwise
+/// mean the built-in default; see the crate README's knob table for the
+/// mapping.
 ///
 /// ```
 /// use gpu_lsm::{LsmConfig, RebalanceConfig};
@@ -83,23 +87,21 @@ impl Default for RebalanceConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LsmConfig {
-    /// Bloom filter bits per key (`LSM_BLOOM_BITS`); 0 disables filters.
-    /// **Process-wide** — installs a global override when set.
+    /// Bloom filter bits per key (`LSM_BLOOM_BITS`, ≤ 64); 0 disables
+    /// filters.  Default [`gpu_primitives::filter::DEFAULT_BITS_PER_KEY`].
     pub bloom_bits: Option<u32>,
-    /// Sequential cutoff for the worker pool (`LSM_PAR_CUTOFF`); inputs
-    /// shorter than this run sequentially.  **Process-wide**.
-    pub par_cutoff: Option<usize>,
     /// Fraction of resident elements above which a lookup batch dispatches
-    /// to the bulk sorted path (`LSM_BULK_LOOKUP_FRAC`).  Per instance.
+    /// to the bulk sorted path (`LSM_BULK_LOOKUP_FRAC`).  Default: the
+    /// calibrated crossover.
     pub bulk_lookup_frac: Option<f64>,
     /// Whether level storage lives in the per-structure slab arena
-    /// (`LSM_ARENA`; 0 disables).  Per instance; default on.
+    /// (`LSM_ARENA`; 0 disables).  Default on.
     pub arena: Option<bool>,
     /// Minimum arena chunk size in `u32` words (`LSM_ARENA_CHUNK`, ≥ 1).
-    /// Per instance; default [`crate::arena::DEFAULT_CHUNK_WORDS`].
+    /// Default [`crate::arena::DEFAULT_CHUNK_WORDS`].
     pub arena_chunk_words: Option<usize>,
     /// Group size of the warp-style bulk-get sweep (`LSM_BULK_GROUP`, ≥ 1).
-    /// Per instance; default 64, the paper's warp width times two.
+    /// Default 64, the paper's warp width times two.
     pub bulk_group: Option<usize>,
     /// Admission queue capacity per shard (`LSM_ADMIT_QUEUE`).
     pub admit_queue_capacity: Option<usize>,
@@ -108,15 +110,15 @@ pub struct LsmConfig {
     pub admit_coalesce: Option<bool>,
     /// Bounded backpressure: how long `submit` may block waiting for
     /// admission queue space before failing with
-    /// [`LsmError::SubmitTimedOut`] (`LSM_SUBMIT_TIMEOUT_MS`).  `None`
-    /// falls back to the env knob and then to waiting forever.
+    /// [`LsmError::SubmitTimedOut`] (`LSM_SUBMIT_TIMEOUT_MS`).  Default:
+    /// wait forever.
     pub submit_timeout: Option<Duration>,
     /// How long `flush` may block waiting for the queues to drain before
     /// failing with [`LsmError::FlushTimedOut`] (`LSM_FLUSH_TIMEOUT_MS`).
-    /// `None` falls back to the env knob and then to waiting forever.
+    /// Default: wait forever.
     pub flush_timeout: Option<Duration>,
-    /// Online shard split/merge thresholds.  Per instance; no env
-    /// equivalent (rebalancing is opt-in via explicit config).
+    /// Online shard split/merge thresholds.  No env equivalent
+    /// (rebalancing is opt-in via explicit config).
     pub rebalance: RebalanceConfig,
     /// Durability: write-ahead logging and crash-consistent snapshots
     /// (`LSM_WAL_DIR` / `LSM_WAL_FSYNC`).  `None` (the default) keeps the
@@ -132,13 +134,12 @@ impl LsmConfig {
     /// Unset variables leave the field `None`; a variable that is set but
     /// does not parse (or parses to a nonsensical setting) is an
     /// [`LsmError::InvalidEnvValue`] — a typo'd `LSM_ADMIT_QUEUE=4o96`
-    /// must not silently change behavior.  This is the documented fallback
-    /// layer: prefer explicit configs in new code.
+    /// must not silently change behavior.  The constructors call this for
+    /// the fields an explicit config leaves unset.
     ///
     /// | field | variable |
     /// |---|---|
-    /// | `bloom_bits` | `LSM_BLOOM_BITS` |
-    /// | `par_cutoff` | `LSM_PAR_CUTOFF` |
+    /// | `bloom_bits` | `LSM_BLOOM_BITS` (bits per key, ≤ 64) |
     /// | `bulk_lookup_frac` | `LSM_BULK_LOOKUP_FRAC` (must be > 0) |
     /// | `arena` | `LSM_ARENA` (0 = off) |
     /// | `arena_chunk_words` | `LSM_ARENA_CHUNK` (words, ≥ 1) |
@@ -150,16 +151,11 @@ impl LsmConfig {
     /// | `durability` | `LSM_WAL_DIR` + `LSM_WAL_FSYNC` (records/fsync, ≥ 1) |
     /// | `durability.retry` | `LSM_WAL_RETRIES` (`N` or `N:B`, attempts ≥ 1, backoff µs) |
     /// | `durability.degrade` | `LSM_WAL_DEGRADE` (`failstop` \| `volatile`) |
+    ///
+    /// `LSM_PAR_CUTOFF` (elements) is validated here but sets no field: the
+    /// vendored worker pool reads it for the whole process.
     pub fn from_env() -> Result<Self> {
-        Self::from_env_lookup(|var| match std::env::var(var) {
-            Ok(value) => Ok(Some(value)),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(raw)) => Err(LsmError::InvalidEnvValue {
-                var: var.to_string(),
-                value: raw.to_string_lossy().into_owned(),
-                reason: "not valid unicode".to_string(),
-            }),
-        })
+        Self::from_env_lookup(env_var)
     }
 
     /// [`LsmConfig::from_env`] over an arbitrary variable source, so the
@@ -192,6 +188,12 @@ impl LsmConfig {
             }
         }
 
+        let bloom_bits = parse::<u32>("LSM_BLOOM_BITS", lookup("LSM_BLOOM_BITS")?)?;
+        if let Some(bits) = bloom_bits.filter(|&bits| bits > 64) {
+            return Err(reject("LSM_BLOOM_BITS", bits, "at most 64 bits per key"));
+        }
+        // Validated but inert: the worker pool reads this variable itself.
+        parse::<usize>("LSM_PAR_CUTOFF", lookup("LSM_PAR_CUTOFF")?)?;
         let bulk_lookup_frac =
             parse::<f64>("LSM_BULK_LOOKUP_FRAC", lookup("LSM_BULK_LOOKUP_FRAC")?)?;
         if let Some(f) = bulk_lookup_frac {
@@ -316,8 +318,7 @@ impl LsmConfig {
             d
         });
         Ok(LsmConfig {
-            bloom_bits: parse("LSM_BLOOM_BITS", lookup("LSM_BLOOM_BITS")?)?,
-            par_cutoff: parse("LSM_PAR_CUTOFF", lookup("LSM_PAR_CUTOFF")?)?,
+            bloom_bits,
             bulk_lookup_frac,
             arena: parse::<u32>("LSM_ARENA", lookup("LSM_ARENA")?)?.map(|v| v != 0),
             arena_chunk_words,
@@ -332,25 +333,19 @@ impl LsmConfig {
         })
     }
 
-    /// Set the Bloom filter bits per key (process-wide; 0 disables).
+    /// Set the Bloom filter bits per key (0 disables).
     pub fn bloom_bits(mut self, bits: u32) -> Self {
         self.bloom_bits = Some(bits);
         self
     }
 
-    /// Set the worker-pool sequential cutoff (process-wide).
-    pub fn par_cutoff(mut self, cutoff: usize) -> Self {
-        self.par_cutoff = Some(cutoff);
-        self
-    }
-
-    /// Set the bulk-lookup dispatch fraction for this instance.
+    /// Set the bulk-lookup dispatch fraction.
     pub fn bulk_lookup_frac(mut self, frac: f64) -> Self {
         self.bulk_lookup_frac = Some(frac);
         self
     }
 
-    /// Enable or disable slab-arena level storage for this instance.
+    /// Enable or disable slab-arena level storage.
     pub fn arena(mut self, enabled: bool) -> Self {
         self.arena = Some(enabled);
         self
@@ -407,21 +402,40 @@ impl LsmConfig {
         self
     }
 
-    /// Install the process-wide overrides this config carries (`bloom_bits`
-    /// and `par_cutoff`); fields left `None` change nothing.  Called by the
-    /// `with_config` constructors; safe to call directly when only the
-    /// global knobs are wanted.
-    pub fn apply_process_overrides(&self) {
-        if let Some(bits) = self.bloom_bits {
-            gpu_primitives::filter::set_bloom_bits_override(Some(bits));
-        }
-        if let Some(cutoff) = self.par_cutoff {
-            rayon::set_sequential_cutoff(cutoff);
-        }
+    /// Resolve this config for a structure being built: explicit fields
+    /// are kept, unset ones take the strictly parsed environment
+    /// ([`LsmConfig::from_env`]).  Fields still `None` mean the built-in
+    /// default.  The public constructors call this once; internal rebuilds
+    /// reuse its result.
+    pub(crate) fn resolve(&self) -> Result<Self> {
+        self.resolve_with(env_var)
     }
 
-    /// The admission configuration this config implies: explicit fields
-    /// win, unset fields fall back to the env-derived defaults.
+    /// [`LsmConfig::resolve`] over an arbitrary variable source.
+    pub(crate) fn resolve_with(
+        &self,
+        lookup: impl Fn(&str) -> Result<Option<String>>,
+    ) -> Result<Self> {
+        let env = Self::from_env_lookup(lookup)?;
+        Ok(LsmConfig {
+            bloom_bits: self.bloom_bits.or(env.bloom_bits),
+            bulk_lookup_frac: self.bulk_lookup_frac.or(env.bulk_lookup_frac),
+            arena: self.arena.or(env.arena),
+            arena_chunk_words: self.arena_chunk_words.or(env.arena_chunk_words),
+            bulk_group: self.bulk_group.or(env.bulk_group),
+            admit_queue_capacity: self.admit_queue_capacity.or(env.admit_queue_capacity),
+            admit_coalesce: self.admit_coalesce.or(env.admit_coalesce),
+            submit_timeout: self.submit_timeout.or(env.submit_timeout),
+            flush_timeout: self.flush_timeout.or(env.flush_timeout),
+            rebalance: self.rebalance.clone(),
+            durability: self.durability.clone().or(env.durability),
+        })
+    }
+
+    /// The admission configuration this config implies: set fields win,
+    /// unset ones take the [`AdmissionConfig::default`] constants.  On a
+    /// service's resolved config ([`crate::ShardedLsm::config`]) this is
+    /// the admission the environment asked for.
     pub fn admission(&self) -> AdmissionConfig {
         let mut ac = AdmissionConfig::default();
         if let Some(capacity) = self.admit_queue_capacity {
@@ -440,6 +454,19 @@ impl LsmConfig {
     }
 }
 
+/// One `LSM_*` variable from the process environment.
+fn env_var(var: &str) -> Result<Option<String>> {
+    match std::env::var(var) {
+        Ok(value) => Ok(Some(value)),
+        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotUnicode(raw)) => Err(LsmError::InvalidEnvValue {
+            var: var.to_string(),
+            value: raw.to_string_lossy().into_owned(),
+            reason: "not valid unicode".to_string(),
+        }),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,13 +475,11 @@ mod tests {
     fn default_config_is_all_fallback() {
         let c = LsmConfig::default();
         assert_eq!(c.bloom_bits, None);
-        assert_eq!(c.par_cutoff, None);
         assert_eq!(c.bulk_lookup_frac, None);
         assert_eq!(c.admit_queue_capacity, None);
         assert_eq!(c.admit_coalesce, None);
         assert!(!c.rebalance.enabled);
-        // A default config installs no process overrides and its admission
-        // view matches the env-derived default.
+        // Its admission view is the built-in default.
         assert_eq!(c.admission(), AdmissionConfig::default());
     }
 
@@ -462,7 +487,6 @@ mod tests {
     fn builder_methods_set_fields() {
         let c = LsmConfig::default()
             .bloom_bits(8)
-            .par_cutoff(1)
             .bulk_lookup_frac(0.5)
             .arena(true)
             .arena_chunk_words(0) // clamped to 1
@@ -475,7 +499,6 @@ mod tests {
                 ..RebalanceConfig::default()
             });
         assert_eq!(c.bloom_bits, Some(8));
-        assert_eq!(c.par_cutoff, Some(1));
         assert_eq!(c.bulk_lookup_frac, Some(0.5));
         assert_eq!(c.arena, Some(true));
         assert_eq!(c.arena_chunk_words, Some(1));
@@ -520,7 +543,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(c.bloom_bits, Some(8));
-        assert_eq!(c.par_cutoff, Some(64));
         assert_eq!(c.bulk_lookup_frac, Some(0.25));
         assert_eq!(c.arena, Some(false));
         assert_eq!(c.arena_chunk_words, Some(4096));
@@ -598,6 +620,7 @@ mod tests {
     #[test]
     fn from_env_rejects_nonsensical_settings() {
         for (var, bad) in [
+            ("LSM_BLOOM_BITS", "65"),
             ("LSM_BULK_LOOKUP_FRAC", "0"),
             ("LSM_BULK_LOOKUP_FRAC", "-0.5"),
             ("LSM_BULK_LOOKUP_FRAC", "inf"),
@@ -633,6 +656,114 @@ mod tests {
         assert_eq!(c.durability, None);
         assert!(LsmConfig::from_env_lookup(env_of(&[("LSM_WAL_RETRIES", "nope")])).is_err());
         assert!(LsmConfig::from_env_lookup(env_of(&[("LSM_WAL_DEGRADE", "nope")])).is_err());
+    }
+
+    fn device() -> std::sync::Arc<gpu_sim::Device> {
+        std::sync::Arc::new(gpu_sim::Device::new(gpu_sim::DeviceConfig::small()))
+    }
+
+    /// The knobs a structure keeps: bloom bits, bulk group, arena chunk
+    /// words (`None` = no arena).
+    fn knobs(lsm: &crate::GpuLsm) -> (u32, usize, Option<usize>) {
+        (
+            lsm.bloom_bits,
+            lsm.bulk_group_size(),
+            lsm.arena.as_ref().map(|a| a.min_chunk_words),
+        )
+    }
+
+    #[test]
+    fn resolution_takes_explicit_then_env_then_default() {
+        let env = env_of(&[
+            ("LSM_BLOOM_BITS", "4"),
+            ("LSM_BULK_GROUP", "16"),
+            ("LSM_ARENA_CHUNK", "4096"),
+            ("LSM_ADMIT_QUEUE", "8"),
+            ("LSM_ADMIT_COALESCE", "0"),
+        ]);
+        // An explicit field beats the environment.
+        let explicit = LsmConfig::default()
+            .bloom_bits(12)
+            .bulk_group(32)
+            .arena(false)
+            .admit_coalesce(true)
+            .resolve_with(&env)
+            .unwrap();
+        let lsm = crate::GpuLsm::from_resolved(device(), 8, &explicit).unwrap();
+        assert_eq!(knobs(&lsm), (12, 32, None));
+        let ac = explicit.admission();
+        assert_eq!((ac.queue_capacity, ac.coalesce), (8, true));
+        // The environment beats the built-in default.
+        let from_env = LsmConfig::default().resolve_with(&env).unwrap();
+        let lsm = crate::GpuLsm::from_resolved(device(), 8, &from_env).unwrap();
+        assert_eq!(knobs(&lsm), (4, 16, Some(4096)));
+        let ac = from_env.admission();
+        assert_eq!((ac.queue_capacity, ac.coalesce), (8, false));
+        // Nothing set: the defaults.
+        let plain = LsmConfig::default().resolve_with(env_of(&[])).unwrap();
+        assert_eq!(plain, LsmConfig::default());
+        let lsm = crate::GpuLsm::from_resolved(device(), 8, &plain).unwrap();
+        let defaults = (
+            gpu_primitives::filter::DEFAULT_BITS_PER_KEY,
+            crate::lookup::DEFAULT_BULK_GROUP,
+            Some(crate::arena::DEFAULT_CHUNK_WORDS),
+        );
+        assert_eq!(knobs(&lsm), defaults);
+        assert_eq!(plain.admission(), AdmissionConfig::default());
+    }
+
+    #[test]
+    fn resolution_rejects_a_malformed_env_value() {
+        let err = LsmConfig::default()
+            .resolve_with(env_of(&[("LSM_ADMIT_QUEUE", "4o96")]))
+            .unwrap_err();
+        assert!(
+            matches!(&err, LsmError::InvalidEnvValue { var, value, .. }
+                if var == "LSM_ADMIT_QUEUE" && value == "4o96"),
+            "{err:?}"
+        );
+        // An explicit field does not excuse a malformed variable.
+        assert!(LsmConfig::default()
+            .admit_queue_capacity(8)
+            .resolve_with(env_of(&[("LSM_ADMIT_QUEUE", "4o96")]))
+            .is_err());
+    }
+
+    #[test]
+    fn split_and_merged_shards_keep_the_parent_config() {
+        for (vars, expected) in [
+            (
+                &[
+                    ("LSM_BLOOM_BITS", "3"),
+                    ("LSM_BULK_GROUP", "5"),
+                    ("LSM_ARENA_CHUNK", "1234"),
+                ][..],
+                (3, 5, Some(1234)),
+            ),
+            (
+                &[("LSM_BLOOM_BITS", "0"), ("LSM_ARENA", "0")][..],
+                (0, crate::lookup::DEFAULT_BULK_GROUP, None),
+            ),
+        ] {
+            let config = LsmConfig::default().resolve_with(env_of(vars)).unwrap();
+            let router = crate::ShardRouter::new(2).unwrap();
+            let lsm = crate::ShardedLsm::build(device(), 16, router, config, None).unwrap();
+            let pairs: Vec<(u32, u32)> = (0..64u32).map(|i| (i << 24, i)).collect();
+            for chunk in pairs.chunks(16) {
+                lsm.insert(chunk).unwrap();
+            }
+            lsm.split_shard(0).unwrap();
+            assert_eq!(lsm.num_shards(), 3);
+            for s in 0..3 {
+                assert_eq!(
+                    lsm.shard(s).with_read(knobs),
+                    expected,
+                    "{vars:?} shard {s}"
+                );
+            }
+            lsm.merge_shards(0).unwrap();
+            assert_eq!(lsm.shard(0).with_read(knobs), expected, "{vars:?} merged");
+        }
     }
 
     #[test]

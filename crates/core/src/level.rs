@@ -13,7 +13,7 @@
 //! path's sort/merge or a bulk rebuild, never on the query path):
 //!
 //! * a blocked **Bloom filter** over the level's original keys
-//!   ([`gpu_primitives::filter`], sized by `LSM_BLOOM_BITS`), and
+//!   ([`gpu_primitives::filter`], sized by the structure's `bloom_bits`), and
 //! * a **fence array** ([`gpu_primitives::fence`]) sampling every 256th
 //!   key, which narrows every binary search to one ≤ 256-element window and
 //!   exposes the level's min/max key for level/shard skipping.
@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use gpu_primitives::fence::FenceArray;
-use gpu_primitives::filter::{config_bits_per_key, BloomFilter};
+use gpu_primitives::filter::BloomFilter;
 
 use crate::arena::{RegionSpan, Storage};
 use crate::key::{key_less, original_key, EncodedKey, Key, Value};
@@ -122,7 +122,7 @@ pub struct Level {
 }
 
 /// Level equality is over contents only; the filter and fences are a pure
-/// function of the keys (plus process-wide sizing) and are excluded so that
+/// function of the keys (plus the filter sizing) and are excluded so that
 /// filters-on and filters-off structures holding the same data compare equal.
 impl PartialEq for Level {
     fn eq(&self, other: &Self) -> bool {
@@ -136,9 +136,10 @@ impl Eq for Level {}
 impl Level {
     /// Build a long-lived level (bulk build, cleanup redistribution) from
     /// already-sorted parallel key/value arrays: fences always, a Bloom
-    /// filter from [`FILTER_MIN_LEN`] elements up.
-    pub fn from_sorted(keys: Vec<EncodedKey>, values: Vec<Value>) -> Self {
-        Self::build(keys, values, FILTER_MIN_LEN)
+    /// filter of `bloom_bits` bits per key from [`FILTER_MIN_LEN`] elements
+    /// up (none when `bloom_bits` is 0).
+    pub fn from_sorted(keys: Vec<EncodedKey>, values: Vec<Value>, bloom_bits: u32) -> Self {
+        Self::build(keys, values, FILTER_MIN_LEN, bloom_bits)
     }
 
     /// Assemble a level from already-sorted arrays **and** pre-built
@@ -179,14 +180,19 @@ impl Level {
     /// Shared constructor: the query-acceleration structures are built
     /// here, in one streaming pass over the freshly produced keys, and are
     /// never touched again until the level is consumed by a merge.
-    fn build(keys: Vec<EncodedKey>, values: Vec<Value>, filter_min_len: usize) -> Self {
+    fn build(
+        keys: Vec<EncodedKey>,
+        values: Vec<Value>,
+        filter_min_len: usize,
+        bloom_bits: u32,
+    ) -> Self {
         debug_assert_eq!(keys.len(), values.len());
         debug_assert!(
             keys.windows(2).all(|w| !key_less(&w[1], &w[0])),
             "level keys must be sorted by original key"
         );
         let filter = if keys.len() >= filter_min_len {
-            BloomFilter::build(keys.iter().map(|&k| original_key(k)), config_bits_per_key())
+            BloomFilter::build(keys.iter().map(|&k| original_key(k)), bloom_bits)
         } else {
             None
         };
@@ -477,7 +483,11 @@ mod tests {
     fn level_of(keys: &[u32]) -> Level {
         let encoded: Vec<u32> = keys.iter().map(|&k| encode_regular(k)).collect();
         let values: Vec<u32> = keys.iter().map(|&k| k * 10).collect();
-        Level::from_sorted(encoded, values)
+        Level::from_sorted(
+            encoded,
+            values,
+            gpu_primitives::filter::DEFAULT_BITS_PER_KEY,
+        )
     }
 
     #[test]
@@ -584,9 +594,7 @@ mod tests {
         // Large enough for a long-lived level to build its filter.
         let keys: Vec<u32> = (0..(super::FILTER_MIN_LEN as u32)).map(|i| i * 2).collect();
         let level = level_of(&keys);
-        if gpu_primitives::filter::config_bits_per_key() > 0 {
-            assert!(level.filter().is_some(), "long-lived level builds a filter");
-        }
+        assert!(level.filter().is_some(), "long-lived level builds a filter");
         let hit = level.find(10);
         assert_eq!(hit.entry, Some((encode_regular(10), 100)));
         assert!(!hit.filter_skipped);
@@ -611,9 +619,7 @@ mod tests {
         assert!(level.search_probe_depth() <= 10);
         let (filter_bytes, fence_bytes) = level.accel_bytes();
         assert!(fence_bytes > 0);
-        if level.filter().is_some() {
-            assert!(filter_bytes > 0);
-        }
+        assert!(filter_bytes > 0);
     }
 
     #[test]
@@ -627,7 +633,7 @@ mod tests {
             encode_regular(5),
             encode_regular(9),
         ];
-        let level = Level::from_sorted(keys, vec![10, 0, 50, 90]);
+        let level = Level::from_sorted(keys, vec![10, 0, 50, 90], 0);
         let probe = level.find(5);
         assert_eq!(probe.entry, Some((encode_tombstone(5), 0)));
         assert_eq!(level.min_key(), 1);

@@ -45,20 +45,7 @@ const MIN_BULK_QUERIES: usize = 256;
 /// through the levels in groups of this many, sharing one fence descent
 /// and one coalesced block sweep per group — the CPU analogue of a GPU
 /// warp resolving 64 neighbouring needles with shared loads.
-const DEFAULT_BULK_GROUP: usize = 64;
-
-/// The lenient `LSM_BULK_GROUP` fallback (strict parsing lives in
-/// [`crate::config::LsmConfig::from_env`]): unparsable or zero values are
-/// ignored here so ad-hoc shells cannot poison the default.
-fn bulk_group_from_env() -> Option<usize> {
-    static GROUP: OnceLock<Option<usize>> = OnceLock::new();
-    *GROUP.get_or_init(|| {
-        std::env::var("LSM_BULK_GROUP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&g| g >= 1)
-    })
-}
+pub(crate) const DEFAULT_BULK_GROUP: usize = 64;
 
 /// Per-query cost trace of one individual lookup, accumulated into the
 /// device's traffic metrics and the structure's filter counters.
@@ -125,18 +112,6 @@ fn sort_cost_ns() -> f64 {
     })
 }
 
-/// The `LSM_BULK_LOOKUP_FRAC` override: when set, the bulk path engages at
-/// `frac · resident elements` queries instead of the calibrated threshold.
-fn bulk_frac_override() -> Option<f64> {
-    static FRAC: OnceLock<Option<f64>> = OnceLock::new();
-    *FRAC.get_or_init(|| {
-        std::env::var("LSM_BULK_LOOKUP_FRAC")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-            .filter(|f| *f > 0.0)
-    })
-}
-
 impl GpuLsm {
     /// Look up a batch of keys in parallel.  Returns, for each query key,
     /// `Some(value)` of the most recent insertion if the key is present and
@@ -164,14 +139,14 @@ impl GpuLsm {
     /// `Σ per-level probe depth · c_probe` per query while the bulk
     /// approach costs `n · c_stream` once plus sort/stream work per query —
     /// the threshold is where the two lines cross, floored at a minimum
-    /// batch size and overridable with `LSM_BULK_LOOKUP_FRAC` (a fraction
-    /// of the resident element count).
+    /// batch size and overridable with the structure's `bulk_lookup_frac`
+    /// (a fraction of the resident element count).
     pub fn bulk_lookup_threshold(&self) -> usize {
         let n = self.num_resident_elements();
         if n == 0 {
             return usize::MAX;
         }
-        if let Some(frac) = self.bulk_lookup_frac.or_else(bulk_frac_override) {
+        if let Some(frac) = self.bulk_lookup_frac {
             return (((n as f64) * frac) as usize).max(MIN_BULK_QUERIES);
         }
         let levels = self.num_occupied_levels();
@@ -322,13 +297,9 @@ impl GpuLsm {
     }
 
     /// The warp-group width [`GpuLsm::bulk_get`] marches with: the
-    /// per-instance config override when set, else `LSM_BULK_GROUP`, else
-    /// the built-in default of 64.
+    /// structure's `bulk_group` (default 64).
     pub fn bulk_group_size(&self) -> usize {
         self.bulk_group
-            .or_else(bulk_group_from_env)
-            .unwrap_or(DEFAULT_BULK_GROUP)
-            .max(1)
     }
 
     /// Shared body of [`GpuLsm::bulk_get`] / [`GpuLsm::lookup_bulk_sorted`]:

@@ -19,35 +19,18 @@
 
 use std::sync::Arc;
 
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_primitives::radix_sort::sort_pairs;
 use gpu_sim::Device;
 
 use crate::arena::Arena;
 use crate::batch::UpdateBatch;
+use crate::config::LsmConfig;
 use crate::error::{LsmError, Result};
 use crate::key::{encode_regular, placebo, EncodedKey, Key, Value, MAX_KEY};
 use crate::level::{Level, LevelSet};
+use crate::lookup::DEFAULT_BULK_GROUP;
 use crate::wal::LoadedRun;
-
-/// Lenient env fallback for the arena master switch (`LSM_ARENA`; default
-/// on).  The strict, erroring parse of the same knob lives in
-/// [`crate::LsmConfig::from_env`]; this per-module fallback follows the
-/// repo convention of ignoring unparsable values.
-fn arena_enabled_from_env() -> bool {
-    match std::env::var("LSM_ARENA") {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off"),
-        Err(_) => true,
-    }
-}
-
-/// Lenient env fallback for the arena chunk size in words
-/// (`LSM_ARENA_CHUNK`; 0 = the built-in default).
-fn arena_chunk_words_from_env() -> usize {
-    std::env::var("LSM_ARENA_CHUNK")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
-}
 
 /// The GPU LSM: a dynamic dictionary with batched updates and parallel
 /// queries.
@@ -66,12 +49,14 @@ pub struct GpuLsm {
     /// Lifetime update/lookup operation counters (shared across clones);
     /// feeds the sharded service's hot-shard detection.
     pub(crate) op_activity: Arc<crate::stats::OpActivity>,
-    /// Per-instance override of the bulk-lookup dispatch fraction; `None`
-    /// falls back to `LSM_BULK_LOOKUP_FRAC` and then the cost model.
+    /// Bloom filter bits per key for the levels this structure builds
+    /// (0 = no filters).
+    pub(crate) bloom_bits: u32,
+    /// Bulk-lookup dispatch fraction; `None` uses the calibrated cost
+    /// model.
     pub(crate) bulk_lookup_frac: Option<f64>,
-    /// Per-instance override of the warp-style bulk-get group size; `None`
-    /// falls back to `LSM_BULK_GROUP` and then the built-in default.
-    pub(crate) bulk_group: Option<usize>,
+    /// Warp-style bulk-get group size (≥ 1).
+    pub(crate) bulk_group: usize,
     /// The slab arena backing carry-chain level storage (`None` = arena
     /// disabled, levels own plain vectors).  Shared across clones of the
     /// handle; cloned levels deep-copy out of the arena.
@@ -89,10 +74,34 @@ impl GpuLsm {
     /// The batch size is fixed for the lifetime of the structure (paper
     /// §III-A rule 1) and trades update against query performance: larger
     /// batches mean fewer occupied levels for the same number of elements.
+    ///
+    /// The knobs come from the `LSM_*` environment where set (see
+    /// [`LsmConfig`]); a malformed variable is an
+    /// [`LsmError::InvalidEnvValue`].
     pub fn new(device: Arc<Device>, batch_size: usize) -> Result<Self> {
+        Self::with_config(device, batch_size, &LsmConfig::default())
+    }
+
+    /// Create an empty GPU LSM configured by an explicit [`LsmConfig`];
+    /// fields it leaves unset come from the `LSM_*` environment and then
+    /// the built-in defaults.
+    pub fn with_config(device: Arc<Device>, batch_size: usize, config: &LsmConfig) -> Result<Self> {
+        Self::from_resolved(device, batch_size, &config.resolve()?)
+    }
+
+    /// Create an empty GPU LSM from an already-resolved config (see
+    /// [`LsmConfig::resolve`]): what every rebuild of an existing
+    /// structure uses, so it keeps its parent's settings and reads no
+    /// environment.
+    pub(crate) fn from_resolved(
+        device: Arc<Device>,
+        batch_size: usize,
+        config: &LsmConfig,
+    ) -> Result<Self> {
         if batch_size == 0 {
             return Err(LsmError::InvalidBatchSize { batch_size });
         }
+        let arena_words = config.arena_chunk_words.unwrap_or(0);
         Ok(GpuLsm {
             device,
             batch_size,
@@ -101,50 +110,15 @@ impl GpuLsm {
             filter_activity: Arc::default(),
             merge_activity: Arc::default(),
             op_activity: Arc::default(),
-            bulk_lookup_frac: None,
-            bulk_group: None,
-            arena: arena_enabled_from_env().then(|| Arena::new(arena_chunk_words_from_env())),
+            bloom_bits: config.bloom_bits.unwrap_or(DEFAULT_BITS_PER_KEY),
+            bulk_lookup_frac: config.bulk_lookup_frac,
+            bulk_group: config.bulk_group.unwrap_or(DEFAULT_BULK_GROUP).max(1),
+            arena: config
+                .arena
+                .unwrap_or(true)
+                .then(|| Arena::new(arena_words)),
             encode_scratch: (Vec::new(), Vec::new()),
         })
-    }
-
-    /// Create an empty GPU LSM configured by an explicit [`crate::LsmConfig`]
-    /// instead of the `LSM_*` env fallbacks.  Per-instance knobs
-    /// (`bulk_lookup_frac`) apply only to this structure; the process-wide
-    /// knobs the config carries (`bloom_bits`, `par_cutoff`) are installed
-    /// globally — see [`crate::LsmConfig::apply_process_overrides`].
-    pub fn with_config(
-        device: Arc<Device>,
-        batch_size: usize,
-        config: &crate::config::LsmConfig,
-    ) -> Result<Self> {
-        config.apply_process_overrides();
-        let mut lsm = GpuLsm::new(device, batch_size)?;
-        lsm.apply_instance_config(config);
-        Ok(lsm)
-    }
-
-    /// Apply a config's per-instance knobs to this structure, overriding
-    /// the env-derived defaults `GpuLsm::new` installed.  Also used when a
-    /// sharded LSM rebuilds a shard (split/merge/rebalance), so replacement
-    /// shards keep the parent table's configuration instead of silently
-    /// reverting to the env knobs.
-    pub(crate) fn apply_instance_config(&mut self, config: &crate::config::LsmConfig) {
-        self.bulk_lookup_frac = config.bulk_lookup_frac;
-        self.bulk_group = config.bulk_group;
-        match (config.arena, config.arena_chunk_words) {
-            // Explicitly disabled: drop the env-derived arena.
-            (Some(false), _) => self.arena = None,
-            // Explicitly enabled and/or explicitly sized: build fresh so
-            // the configured chunk size wins over the env fallback.
-            (Some(true), chunk) => self.arena = Some(Arena::new(chunk.unwrap_or(0))),
-            (None, Some(chunk)) => {
-                if self.arena.is_some() {
-                    self.arena = Some(Arena::new(chunk));
-                }
-            }
-            (None, None) => {}
-        }
     }
 
     /// Bulk-build an LSM from an arbitrary set of key–value pairs
@@ -157,13 +131,30 @@ impl GpuLsm {
         batch_size: usize,
         pairs: &[(Key, Value)],
     ) -> Result<Self> {
-        if batch_size == 0 {
-            return Err(LsmError::InvalidBatchSize { batch_size });
-        }
+        Self::bulk_build_with_config(device, batch_size, pairs, &LsmConfig::default())
+    }
+
+    /// [`GpuLsm::bulk_build`] configured by an explicit [`LsmConfig`].
+    pub fn bulk_build_with_config(
+        device: Arc<Device>,
+        batch_size: usize,
+        pairs: &[(Key, Value)],
+        config: &LsmConfig,
+    ) -> Result<Self> {
+        Self::bulk_build_resolved(device, batch_size, pairs, &config.resolve()?)
+    }
+
+    /// [`GpuLsm::bulk_build`] from an already-resolved config.
+    pub(crate) fn bulk_build_resolved(
+        device: Arc<Device>,
+        batch_size: usize,
+        pairs: &[(Key, Value)],
+        config: &LsmConfig,
+    ) -> Result<Self> {
+        let mut lsm = GpuLsm::from_resolved(device, batch_size, config)?;
         if let Some(&(k, _)) = pairs.iter().find(|(k, _)| *k > MAX_KEY) {
             return Err(LsmError::KeyOutOfRange { key: k });
         }
-        let mut lsm = GpuLsm::new(device, batch_size)?;
         if pairs.is_empty() {
             return Ok(lsm);
         }
@@ -200,7 +191,7 @@ impl GpuLsm {
                 let len = self.batch_size << bit;
                 let level_keys = keys[offset..offset + len].to_vec();
                 let level_values = values[offset..offset + len].to_vec();
-                let level = Level::from_sorted(level_keys, level_values);
+                let level = Level::from_sorted(level_keys, level_values, self.bloom_bits);
                 self.record_accel_build(&level);
                 self.levels.place(bit as usize, level);
                 offset += len;
@@ -349,12 +340,14 @@ impl GpuLsm {
     /// file digest seeds the level's digest cache, so the first snapshot
     /// after recovery does not rehash it.  `num_batches` follows from the
     /// occupied level indices (level `i` holds `b·2^i` elements, §III-A).
+    /// `config` is the recovering service's resolved config.
     pub(crate) fn from_levels(
         device: Arc<Device>,
         batch_size: usize,
         levels: Vec<LoadedRun>,
+        config: &LsmConfig,
     ) -> Result<Self> {
-        let mut lsm = GpuLsm::new(device, batch_size)?;
+        let mut lsm = GpuLsm::from_resolved(device, batch_size, config)?;
         let mut num_batches = 0usize;
         for LoadedRun {
             level: i,
@@ -381,7 +374,7 @@ impl GpuLsm {
                     context: format!("level {i} appears twice in the snapshot"),
                 });
             }
-            let level = Level::from_sorted(keys, values).with_run_digest(digest);
+            let level = Level::from_sorted(keys, values, lsm.bloom_bits).with_run_digest(digest);
             lsm.record_accel_build(&level);
             lsm.levels.place(i, level);
             num_batches += 1 << i;

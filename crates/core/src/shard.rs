@@ -235,8 +235,8 @@ impl ShardedLsm {
     }
 
     /// Create an empty sharded LSM with `num_shards` uniform shards,
-    /// configured by an explicit [`LsmConfig`] (per-instance knobs apply to
-    /// every shard; the config's process-wide knobs are installed globally).
+    /// configured by an explicit [`LsmConfig`] that every shard shares
+    /// (unset fields come from the `LSM_*` environment, then the defaults).
     pub fn with_config(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
@@ -255,7 +255,7 @@ impl ShardedLsm {
         router: ShardRouter,
         config: LsmConfig,
     ) -> Result<Self> {
-        Self::build(device, batch_size, router, config, None)
+        Self::build(device, batch_size, router, config.resolve()?, None)
     }
 
     /// Bulk-build a sharded LSM from arbitrary key–value pairs: the pairs
@@ -271,14 +271,14 @@ impl ShardedLsm {
             device,
             batch_size,
             ShardRouter::new(num_shards)?,
-            LsmConfig::default(),
+            LsmConfig::default().resolve()?,
             Some(pairs),
         )
     }
 
-    /// Shared constructor body: validate, install process overrides, build
-    /// the initial routing table (from `pairs` when given).
-    fn build(
+    /// Shared constructor body over an already-resolved config: validate,
+    /// then build the initial routing table (from `pairs` when given).
+    pub(crate) fn build(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
         router: ShardRouter,
@@ -288,7 +288,6 @@ impl ShardedLsm {
         if batch_size == 0 {
             return Err(LsmError::InvalidBatchSize { batch_size });
         }
-        config.apply_process_overrides();
         let num_shards = router.num_shards();
         let mut per_shard: Vec<Vec<(Key, Value)>> = vec![Vec::new(); num_shards];
         if let Some(pairs) = pairs {
@@ -302,8 +301,8 @@ impl ShardedLsm {
         let shards: Vec<Result<ConcurrentGpuLsm>> = per_shard
             .par_iter()
             .map(|shard_pairs| {
-                let mut lsm = GpuLsm::bulk_build(device.clone(), batch_size, shard_pairs)?;
-                lsm.apply_instance_config(&config);
+                let lsm =
+                    GpuLsm::bulk_build_resolved(device.clone(), batch_size, shard_pairs, &config)?;
                 Ok(ConcurrentGpuLsm::new(lsm))
             })
             .collect();
@@ -330,7 +329,8 @@ impl ShardedLsm {
     /// service exactly.  The epoch is carried over to stay monotonic
     /// across restarts; shard ids restart from `0..n` (the admission
     /// layer is reconstructed after recovery, so no queue identity needs
-    /// to survive).
+    /// to survive).  The shards were rebuilt with `config`, the service's
+    /// resolved config.
     pub(crate) fn from_parts(
         device: Arc<gpu_sim::Device>,
         batch_size: usize,
@@ -351,15 +351,8 @@ impl ShardedLsm {
                 ),
             });
         }
-        config.apply_process_overrides();
         let num_shards = shards.len();
-        let shards: Vec<ConcurrentGpuLsm> = shards
-            .into_iter()
-            .map(|mut lsm| {
-                lsm.apply_instance_config(&config);
-                ConcurrentGpuLsm::new(lsm)
-            })
-            .collect();
+        let shards: Vec<ConcurrentGpuLsm> = shards.into_iter().map(ConcurrentGpuLsm::new).collect();
         Ok(ShardedLsm {
             device,
             batch_size,
@@ -401,7 +394,9 @@ impl ShardedLsm {
         self.table.read().epoch
     }
 
-    /// The configuration this service was constructed with.
+    /// The resolved configuration this service was constructed with:
+    /// explicit fields, then the `LSM_*` environment; fields still `None`
+    /// mean the built-in default.
     pub fn config(&self) -> &LsmConfig {
         &self.config
     }
@@ -660,11 +655,11 @@ impl ShardedLsm {
         keys.iter().copied().zip(values.iter().copied()).collect()
     }
 
-    /// Bulk-build one replacement shard from extracted pairs, inheriting
-    /// the service's per-instance config.
+    /// Bulk-build one replacement shard from extracted pairs with the
+    /// service's resolved config.
     fn build_shard(&self, pairs: &[(Key, Value)]) -> Result<ConcurrentGpuLsm> {
-        let mut lsm = GpuLsm::bulk_build(self.device.clone(), self.batch_size, pairs)?;
-        lsm.apply_instance_config(&self.config);
+        let lsm =
+            GpuLsm::bulk_build_resolved(self.device.clone(), self.batch_size, pairs, &self.config)?;
         Ok(ConcurrentGpuLsm::new(lsm))
     }
 

@@ -197,9 +197,16 @@ mod tests {
             digest,
         };
         let good = crate::wal::run_digest(&[2, 4, 6, 8], &[1, 2, 3, 4]);
-        let lsm = GpuLsm::from_levels(device(), 4, vec![run(good)]).unwrap();
+        let lsm = GpuLsm::from_levels(device(), 4, vec![run(good)], &crate::LsmConfig::default())
+            .unwrap();
         lsm.check_invariants().unwrap();
-        let stale = GpuLsm::from_levels(device(), 4, vec![run(good ^ 1)]).unwrap();
+        let stale = GpuLsm::from_levels(
+            device(),
+            4,
+            vec![run(good ^ 1)],
+            &crate::LsmConfig::default(),
+        )
+        .unwrap();
         let err = stale.check_invariants().unwrap_err();
         assert!(err.0.contains("stale"), "{err}");
     }

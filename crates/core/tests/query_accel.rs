@@ -1,18 +1,17 @@
 //! Differential suite for the query-acceleration subsystem: a structure
-//! built with Bloom filters disabled (`LSM_BLOOM_BITS=0`) and one built
-//! with filters enabled must return **byte-identical** answers to every
-//! query on every workload — filters and fences are conservative
-//! accelerators, never semantics.
+//! built with Bloom filters disabled (`bloom_bits(0)`) and one built with
+//! filters enabled must return **byte-identical** answers to every query on
+//! every workload — filters and fences are conservative accelerators, never
+//! semantics.
 //!
-//! The filter sizing is process-global (an env knob), so the two structures
-//! are built by toggling the test override around each update; the tests in
-//! this file serialise on a mutex to keep the toggling race-free.
+//! Both sides set `bloom_bits` explicitly, so the `LSM_BLOOM_BITS`
+//! environment (the CI filters-off job sets 0) changes neither of them.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
-use gpu_lsm::{GpuLsm, Op, ShardedLsm, UpdateBatch, MAX_KEY};
-use gpu_primitives::filter::{set_bloom_bits_override, DEFAULT_BITS_PER_KEY};
+use gpu_lsm::{GpuLsm, LsmConfig, Op, ShardedLsm, UpdateBatch, MAX_KEY};
+use gpu_primitives::filter::DEFAULT_BITS_PER_KEY;
 use gpu_sim::{Device, DeviceConfig};
 use proptest::prelude::*;
 
@@ -20,35 +19,14 @@ fn device() -> Arc<Device> {
     Arc::new(Device::new(DeviceConfig::small()))
 }
 
-/// Serialises the tests in this file (they all flip the process-global
-/// filter sizing) and restores the environment-derived sizing on drop.
-struct OverrideGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl OverrideGuard {
-    fn lock() -> Self {
-        static GATE: Mutex<()> = Mutex::new(());
-        OverrideGuard(GATE.lock().unwrap_or_else(|e| e.into_inner()))
-    }
+/// Filters *off*.
+fn filters_off() -> LsmConfig {
+    LsmConfig::default().bloom_bits(0)
 }
 
-impl Drop for OverrideGuard {
-    fn drop(&mut self) {
-        set_bloom_bits_override(None);
-    }
-}
-
-/// Apply `f` with filters forced *off*.
-fn filters_off<R>(f: impl FnOnce() -> R) -> R {
-    set_bloom_bits_override(Some(0));
-    f()
-}
-
-/// Apply `f` with filters forced *on* (default sizing, independent of the
-/// `LSM_BLOOM_BITS` environment — the CI filters-off job still exercises
-/// the enabled side here).
-fn filters_on<R>(f: impl FnOnce() -> R) -> R {
-    set_bloom_bits_override(Some(DEFAULT_BITS_PER_KEY));
-    f()
+/// Filters *on*, at the default sizing.
+fn filters_on() -> LsmConfig {
+    LsmConfig::default().bloom_bits(DEFAULT_BITS_PER_KEY)
 }
 
 /// Compare every query surface of two structures that must hold identical
@@ -106,10 +84,9 @@ proptest! {
     fn filters_on_and_off_are_byte_identical(
         batches in proptest::collection::vec(arb_batch(48, 600), 1..8)
     ) {
-        let _guard = OverrideGuard::lock();
         let batch_size = 48;
-        let mut off = filters_off(|| GpuLsm::new(device(), batch_size).unwrap());
-        let mut on = filters_on(|| GpuLsm::new(device(), batch_size).unwrap());
+        let mut off = GpuLsm::with_config(device(), batch_size, &filters_off()).unwrap();
+        let mut on = GpuLsm::with_config(device(), batch_size, &filters_on()).unwrap();
         let mut reference: BTreeMap<u32, u32> = BTreeMap::new();
 
         for ops in &batches {
@@ -121,15 +98,15 @@ proptest! {
                     Op::Delete(k) => { reference.remove(k); }
                 }
             }
-            filters_off(|| off.update(&batch).unwrap());
-            filters_on(|| on.update(&batch).unwrap());
+            off.update(&batch).unwrap();
+            on.update(&batch).unwrap();
             assert_identical_answers(&off, &on, 600);
         }
 
         // Spot-check against the reference model so "identical" can never
         // mean "identically wrong".
         let queries: Vec<u32> = (0..600).collect();
-        let results = filters_on(|| on.lookup(&queries));
+        let results = on.lookup(&queries);
         for (q, got) in queries.iter().zip(results.iter()) {
             prop_assert_eq!(*got, reference.get(q).copied(), "lookup({})", q);
         }
@@ -140,13 +117,12 @@ proptest! {
 
 #[test]
 fn bulk_build_and_cleanup_paths_are_differentially_identical() {
-    let _guard = OverrideGuard::lock();
     // 3000 pairs at b = 512 → 6 batches → levels 1 (1024) and 2 (2048),
     // both above the long-lived filter threshold, so the filters-on side
     // really carries filters here.
     let pairs: Vec<(u32, u32)> = (0..3000u32).map(|k| (k * 7 % 5000, k)).collect();
-    let mut off = filters_off(|| GpuLsm::bulk_build(device(), 512, &pairs).unwrap());
-    let mut on = filters_on(|| GpuLsm::bulk_build(device(), 512, &pairs).unwrap());
+    let mut off = GpuLsm::bulk_build_with_config(device(), 512, &pairs, &filters_off()).unwrap();
+    let mut on = GpuLsm::bulk_build_with_config(device(), 512, &pairs, &filters_on()).unwrap();
     assert!(
         on.stats().filter_bytes > 0,
         "bulk-built levels must carry filters when enabled"
@@ -157,11 +133,11 @@ fn bulk_build_and_cleanup_paths_are_differentially_identical() {
     // Delete a stripe, then cleanup (the other filter-building rebuild
     // path); answers must stay identical through both.
     let doomed: Vec<u32> = (0..512u32).map(|i| i * 9 % 5000).collect();
-    filters_off(|| off.delete(&doomed).unwrap());
-    filters_on(|| on.delete(&doomed).unwrap());
+    off.delete(&doomed).unwrap();
+    on.delete(&doomed).unwrap();
     assert_identical_answers(&off, &on, 5000);
-    filters_off(|| off.cleanup());
-    filters_on(|| on.cleanup());
+    off.cleanup();
+    on.cleanup();
     assert_identical_answers(&off, &on, 5000);
     on.check_invariants().unwrap();
 
@@ -175,12 +151,20 @@ fn bulk_build_and_cleanup_paths_are_differentially_identical() {
 
 #[test]
 fn sharded_service_is_differentially_identical() {
-    let _guard = OverrideGuard::lock();
     let pairs: Vec<(u32, u32)> = (0..4096u32)
         .map(|i| (i.wrapping_mul(2_654_435_761) & 0x7FFF_FFFF, i))
         .collect();
-    let off = filters_off(|| ShardedLsm::bulk_build(device(), 512, 4, &pairs).unwrap());
-    let on = filters_on(|| ShardedLsm::bulk_build(device(), 512, 4, &pairs).unwrap());
+    // Insert, then clean up: the cleanup rebuilds every shard into
+    // long-lived levels, which carry filters from 1024 elements up.
+    let build = |config: LsmConfig| {
+        let lsm = ShardedLsm::with_config(device(), 512, 4, config).unwrap();
+        for chunk in pairs.chunks(512) {
+            lsm.insert(chunk).unwrap();
+        }
+        lsm.cleanup();
+        lsm
+    };
+    let (off, on) = (build(filters_off()), build(filters_on()));
     let keys: Vec<u32> = pairs.iter().map(|&(k, _)| k).chain(0..100).collect();
     assert_eq!(off.lookup(&keys), on.lookup(&keys));
     let intervals: Vec<(u32, u32)> = (0..16)
@@ -192,5 +176,44 @@ fn sharded_service_is_differentially_identical() {
     assert_eq!(off.successor(&probes), on.successor(&probes));
     assert_eq!(off.predecessor(&probes), on.predecessor(&probes));
     assert!(on.stats().filter_bytes > 0);
+    assert_eq!(off.stats().filter_bytes, 0);
     on.check_invariants().unwrap();
+}
+
+/// 64 batches of 4096: the carry chain ends in one 2^18-element level,
+/// large enough to get a filter when the structure's sizing asks for one.
+fn fill_to_one_large_level(lsm: &mut GpuLsm) {
+    for b in 0..64u32 {
+        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|i| (b * 4096 + i, i)).collect();
+        lsm.insert(&pairs).unwrap();
+    }
+}
+
+/// Building a filters-off structure must not switch filters off for one
+/// built earlier on the same device.
+#[test]
+fn later_structure_does_not_change_earlier_filter_sizing() {
+    let device = device();
+    let mut a = GpuLsm::with_config(device.clone(), 4096, &filters_on()).unwrap();
+    let _b = GpuLsm::with_config(device, 4096, &filters_off()).unwrap();
+    fill_to_one_large_level(&mut a);
+    assert!(
+        a.stats().filter_bytes > 0,
+        "A lost its filters to B's config"
+    );
+}
+
+/// ... and building a filters-on structure must not switch them on for an
+/// earlier filters-off one.
+#[test]
+fn later_structure_does_not_enable_filters_on_earlier_one() {
+    let device = device();
+    let mut b = GpuLsm::with_config(device.clone(), 4096, &filters_off()).unwrap();
+    let _a = GpuLsm::with_config(device, 4096, &filters_on()).unwrap();
+    fill_to_one_large_level(&mut b);
+    assert_eq!(
+        b.stats().filter_bytes,
+        0,
+        "B gained filters from A's config"
+    );
 }

@@ -10,16 +10,15 @@
 //! 64-byte read — on the modelled GPU, one coalesced memory transaction per
 //! warp of queries — instead of `k` scattered ones.
 //!
-//! Sizing is controlled by the `LSM_BLOOM_BITS` environment variable (bits
-//! per key; `0` disables filters entirely, the default is
+//! Sizing is a bits-per-key count chosen by the caller when it builds a
+//! filter ([`BloomFilter::build`]; the LSM's default is
 //! [`DEFAULT_BITS_PER_KEY`]).  The false-positive rate at the default sizing
 //! is pinned below 5 % by a unit test; filters are *conservative by
 //! construction* — a negative answer is definitive, a positive answer only
 //! means "search the level" — so enabling or disabling them can never change
 //! query results, only query cost.
 
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Words per filter block: 8 × `u64` = 64 bytes = 512 bits, one cache line
 /// (and one coalesced transaction on the modelled device).
@@ -34,43 +33,6 @@ const BLOCK_BITS: u32 = (BLOCK_BYTES * 8) as u32;
 /// Default filter sizing in bits per key (≈ 3–4 % false positives with the
 /// derived probe count; see [`probes_for_bits`]).
 pub const DEFAULT_BITS_PER_KEY: u32 = 8;
-
-/// `-1` = no override; `>= 0` replaces the environment-derived sizing.
-static BITS_OVERRIDE: AtomicI64 = AtomicI64::new(-1);
-
-/// The `LSM_BLOOM_BITS` environment knob, read once per process: bits per
-/// key used when a level builds its filter.  `0` disables filter
-/// construction entirely.
-pub fn env_bits_per_key() -> u32 {
-    static ENV: OnceLock<u32> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("LSM_BLOOM_BITS")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .map_or(DEFAULT_BITS_PER_KEY, |bits| bits.min(64))
-    })
-}
-
-/// The effective bits-per-key configuration: a test override if one is set,
-/// otherwise the `LSM_BLOOM_BITS` environment value (default
-/// [`DEFAULT_BITS_PER_KEY`]).
-pub fn config_bits_per_key() -> u32 {
-    let o = BITS_OVERRIDE.load(Ordering::Relaxed);
-    if o >= 0 {
-        o as u32
-    } else {
-        env_bits_per_key()
-    }
-}
-
-/// Test-only override of the filter sizing: `Some(0)` disables filters for
-/// subsequently built levels, `Some(bits)` pins the sizing, `None` restores
-/// the environment-derived configuration.  Lets a differential test build
-/// filters-on and filters-off structures in the same process.
-#[doc(hidden)]
-pub fn set_bloom_bits_override(bits: Option<u32>) {
-    BITS_OVERRIDE.store(bits.map_or(-1, i64::from), Ordering::Relaxed);
-}
 
 /// Number of probe bits per key for a given bits-per-key sizing.  Smaller
 /// than the information-theoretic optimum (`ln 2 · bits`) on purpose: filter
@@ -363,17 +325,5 @@ mod tests {
         assert_eq!(grown.num_blocks(), filter.num_blocks());
         // The original is untouched (copy-on-write semantics).
         assert_eq!(filter.keys_covered(), 4_096);
-    }
-
-    #[test]
-    fn override_controls_config() {
-        // Serialised via the override itself being process-global: restore
-        // no-override state before leaving.
-        set_bloom_bits_override(Some(0));
-        assert_eq!(config_bits_per_key(), 0);
-        set_bloom_bits_override(Some(12));
-        assert_eq!(config_bits_per_key(), 12);
-        set_bloom_bits_override(None);
-        assert_eq!(config_bits_per_key(), env_bits_per_key());
     }
 }

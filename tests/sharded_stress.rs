@@ -409,17 +409,17 @@ fn sharded_rebalance_churn_under_concurrent_mixed_fire() {
 /// flush barrier before the rebuild, concurrent submitters re-route, and
 /// flush barriers survive queue re-layout.  Queue capacity is pinned small
 /// to keep submitters sleeping on backpressure across handoffs; coalesce
-/// mode follows `LSM_ADMIT_COALESCE` so the CI matrix exercises both the
-/// coalescing and the replay applier.
+/// mode comes from the service's resolved config, which follows
+/// `LSM_ADMIT_COALESCE`, so the CI matrix exercises both the coalescing and
+/// the replay applier.
 #[test]
 fn admitted_rebalance_churn_under_concurrent_mixed_fire() {
-    let lsm = AdmittedLsm::with_config(
-        ShardedLsm::new(device(), BLOCK as usize, 8).unwrap(),
-        AdmissionConfig {
-            queue_capacity: 4,
-            ..AdmissionConfig::default()
-        },
-    );
+    let service = ShardedLsm::new(device(), BLOCK as usize, 8).unwrap();
+    let admission = AdmissionConfig {
+        queue_capacity: 4,
+        ..service.config().admission()
+    };
+    let lsm = AdmittedLsm::with_config(service, admission);
     let split_key = churn_split_key();
     let churn = {
         let lsm = lsm.clone();
