@@ -136,9 +136,7 @@ fn bench_individual_vs_bulk_lookup(c: &mut Criterion) {
     group.bench_function("individual_binary_search", |b| {
         b.iter(|| lsm.lookup(&queries))
     });
-    group.bench_function("bulk_sorted_search", |b| {
-        b.iter(|| lsm.lookup_bulk_sorted(&queries))
-    });
+    group.bench_function("bulk_sorted_search", |b| b.iter(|| lsm.bulk_get(&queries)));
     group.finish();
 }
 

@@ -10,8 +10,9 @@
 //! named `*_us` are latencies in microseconds (lower is better), and the
 //! comparator gates them in the right direction.
 //!
-//! The JSON schema is intentionally flat so the comparator does not need a
-//! real JSON parser (the serde stand-in has no `Deserialize` runtime):
+//! The JSON schema is intentionally flat so the comparator can read it with
+//! a few lines of line-oriented parsing instead of a JSON library (the
+//! workspace builds offline and vendors none):
 //!
 //! ```json
 //! {

@@ -100,6 +100,7 @@ pub fn queries_per_sec_m(queries: usize, elapsed: Duration) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::AccessPattern;
 
     #[test]
     fn harmonic_mean_matches_hand_computation() {
@@ -149,11 +150,19 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2)); // no device traffic
         });
         assert_eq!(idle, 0.0, "wall time without traffic is not modelled time");
-        let data: Vec<u64> = (0..1 << 12).collect();
-        let (sum1, t1) = modelled_time_once(&device, || device.map("m", &data, |_, &x| x).len());
-        let (sum2, t2) = modelled_time_once(&device, || {
-            device.map("m", &data, |_, &x| x).len() + device.map("m", &data, |_, &x| x).len()
-        });
+        // One coalesced read and write of 2^12 eight-byte elements.
+        let pass = || {
+            let bytes = 8 << 12;
+            device
+                .metrics()
+                .record_read("m", bytes, AccessPattern::Coalesced);
+            device
+                .metrics()
+                .record_write("m", bytes, AccessPattern::Coalesced);
+            1usize << 12
+        };
+        let (sum1, t1) = modelled_time_once(&device, pass);
+        let (sum2, t2) = modelled_time_once(&device, || pass() + pass());
         assert_eq!(sum1, 1 << 12);
         assert_eq!(sum2, 2 << 12);
         assert!(t1 > 0.0);

@@ -77,7 +77,6 @@ impl Default for RebalanceConfig {
 /// use gpu_lsm::{LsmConfig, RebalanceConfig};
 ///
 /// let config = LsmConfig::default()
-///     .bulk_lookup_frac(0.25)
 ///     .admit_queue_capacity(32)
 ///     .rebalance(RebalanceConfig {
 ///         enabled: true,
@@ -90,10 +89,6 @@ pub struct LsmConfig {
     /// Bloom filter bits per key (`LSM_BLOOM_BITS`, ≤ 64); 0 disables
     /// filters.  Default [`gpu_primitives::filter::DEFAULT_BITS_PER_KEY`].
     pub bloom_bits: Option<u32>,
-    /// Fraction of resident elements above which a lookup batch dispatches
-    /// to the bulk sorted path (`LSM_BULK_LOOKUP_FRAC`).  Default: the
-    /// calibrated crossover.
-    pub bulk_lookup_frac: Option<f64>,
     /// Whether level storage lives in the per-structure slab arena
     /// (`LSM_ARENA`; 0 disables).  Default on.
     pub arena: Option<bool>,
@@ -140,7 +135,6 @@ impl LsmConfig {
     /// | field | variable |
     /// |---|---|
     /// | `bloom_bits` | `LSM_BLOOM_BITS` (bits per key, ≤ 64) |
-    /// | `bulk_lookup_frac` | `LSM_BULK_LOOKUP_FRAC` (must be > 0) |
     /// | `arena` | `LSM_ARENA` (0 = off) |
     /// | `arena_chunk_words` | `LSM_ARENA_CHUNK` (words, ≥ 1) |
     /// | `bulk_group` | `LSM_BULK_GROUP` (queries per group, ≥ 1) |
@@ -194,17 +188,6 @@ impl LsmConfig {
         }
         // Validated but inert: the worker pool reads this variable itself.
         parse::<usize>("LSM_PAR_CUTOFF", lookup("LSM_PAR_CUTOFF")?)?;
-        let bulk_lookup_frac =
-            parse::<f64>("LSM_BULK_LOOKUP_FRAC", lookup("LSM_BULK_LOOKUP_FRAC")?)?;
-        if let Some(f) = bulk_lookup_frac {
-            if !f.is_finite() || f <= 0.0 {
-                return Err(reject(
-                    "LSM_BULK_LOOKUP_FRAC",
-                    f,
-                    "must be a finite fraction > 0",
-                ));
-            }
-        }
         let arena_chunk_words = parse::<usize>("LSM_ARENA_CHUNK", lookup("LSM_ARENA_CHUNK")?)?;
         if arena_chunk_words == Some(0) {
             return Err(reject(
@@ -319,7 +302,6 @@ impl LsmConfig {
         });
         Ok(LsmConfig {
             bloom_bits,
-            bulk_lookup_frac,
             arena: parse::<u32>("LSM_ARENA", lookup("LSM_ARENA")?)?.map(|v| v != 0),
             arena_chunk_words,
             bulk_group,
@@ -336,12 +318,6 @@ impl LsmConfig {
     /// Set the Bloom filter bits per key (0 disables).
     pub fn bloom_bits(mut self, bits: u32) -> Self {
         self.bloom_bits = Some(bits);
-        self
-    }
-
-    /// Set the bulk-lookup dispatch fraction.
-    pub fn bulk_lookup_frac(mut self, frac: f64) -> Self {
-        self.bulk_lookup_frac = Some(frac);
         self
     }
 
@@ -419,7 +395,6 @@ impl LsmConfig {
         let env = Self::from_env_lookup(lookup)?;
         Ok(LsmConfig {
             bloom_bits: self.bloom_bits.or(env.bloom_bits),
-            bulk_lookup_frac: self.bulk_lookup_frac.or(env.bulk_lookup_frac),
             arena: self.arena.or(env.arena),
             arena_chunk_words: self.arena_chunk_words.or(env.arena_chunk_words),
             bulk_group: self.bulk_group.or(env.bulk_group),
@@ -475,7 +450,6 @@ mod tests {
     fn default_config_is_all_fallback() {
         let c = LsmConfig::default();
         assert_eq!(c.bloom_bits, None);
-        assert_eq!(c.bulk_lookup_frac, None);
         assert_eq!(c.admit_queue_capacity, None);
         assert_eq!(c.admit_coalesce, None);
         assert!(!c.rebalance.enabled);
@@ -487,7 +461,6 @@ mod tests {
     fn builder_methods_set_fields() {
         let c = LsmConfig::default()
             .bloom_bits(8)
-            .bulk_lookup_frac(0.5)
             .arena(true)
             .arena_chunk_words(0) // clamped to 1
             .bulk_group(0) // clamped to 1
@@ -499,7 +472,6 @@ mod tests {
                 ..RebalanceConfig::default()
             });
         assert_eq!(c.bloom_bits, Some(8));
-        assert_eq!(c.bulk_lookup_frac, Some(0.5));
         assert_eq!(c.arena, Some(true));
         assert_eq!(c.arena_chunk_words, Some(1));
         assert_eq!(c.bulk_group, Some(1));
@@ -528,7 +500,6 @@ mod tests {
         let c = LsmConfig::from_env_lookup(env_of(&[
             ("LSM_BLOOM_BITS", "8"),
             ("LSM_PAR_CUTOFF", " 64 "),
-            ("LSM_BULK_LOOKUP_FRAC", "0.25"),
             ("LSM_ARENA", "0"),
             ("LSM_ARENA_CHUNK", "4096"),
             ("LSM_BULK_GROUP", " 128 "),
@@ -543,7 +514,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(c.bloom_bits, Some(8));
-        assert_eq!(c.bulk_lookup_frac, Some(0.25));
         assert_eq!(c.arena, Some(false));
         assert_eq!(c.arena_chunk_words, Some(4096));
         assert_eq!(c.bulk_group, Some(128));
@@ -595,7 +565,6 @@ mod tests {
         for (var, bad) in [
             ("LSM_BLOOM_BITS", "eight"),
             ("LSM_PAR_CUTOFF", "-1"),
-            ("LSM_BULK_LOOKUP_FRAC", "zero.five"),
             ("LSM_ARENA", "yes"),
             ("LSM_ARENA_CHUNK", "1MB"),
             ("LSM_BULK_GROUP", "warp"),
@@ -621,9 +590,6 @@ mod tests {
     fn from_env_rejects_nonsensical_settings() {
         for (var, bad) in [
             ("LSM_BLOOM_BITS", "65"),
-            ("LSM_BULK_LOOKUP_FRAC", "0"),
-            ("LSM_BULK_LOOKUP_FRAC", "-0.5"),
-            ("LSM_BULK_LOOKUP_FRAC", "inf"),
             ("LSM_ARENA_CHUNK", "0"),
             ("LSM_BULK_GROUP", "0"),
             ("LSM_ADMIT_QUEUE", "0"),

@@ -20,7 +20,7 @@
 //! [`GpuLsm::lookup`] additionally **adapts between the two batch
 //! strategies** the paper compares: below a calibrated query-count
 //! threshold it runs the individual approach; above it, it switches to
-//! [`GpuLsm::lookup_bulk_sorted`], which sorts the queries once and then
+//! [`GpuLsm::bulk_get`], which sorts the queries once and then
 //! streams every level with coalesced accesses — profitable exactly when
 //! the batch is large relative to the structure
 //! (see [`GpuLsm::bulk_lookup_threshold`]).
@@ -121,10 +121,10 @@ impl GpuLsm {
     /// [`GpuLsm::bulk_lookup_threshold`] run the individual per-thread
     /// binary-search approach ([`GpuLsm::lookup_individual`]); larger
     /// batches switch to the sorted bulk approach
-    /// ([`GpuLsm::lookup_bulk_sorted`]).  Both return identical results.
+    /// ([`GpuLsm::bulk_get`]).  Both return identical results.
     pub fn lookup(&self, queries: &[Key]) -> Vec<Option<Value>> {
         if queries.len() >= self.bulk_lookup_threshold() {
-            self.lookup_bulk_sorted(queries)
+            self.bulk_get(queries)
         } else {
             self.lookup_individual(queries)
         }
@@ -139,15 +139,11 @@ impl GpuLsm {
     /// `Σ per-level probe depth · c_probe` per query while the bulk
     /// approach costs `n · c_stream` once plus sort/stream work per query —
     /// the threshold is where the two lines cross, floored at a minimum
-    /// batch size and overridable with the structure's `bulk_lookup_frac`
-    /// (a fraction of the resident element count).
+    /// batch size.
     pub fn bulk_lookup_threshold(&self) -> usize {
         let n = self.num_resident_elements();
         if n == 0 {
             return usize::MAX;
-        }
-        if let Some(frac) = self.bulk_lookup_frac {
-            return (((n as f64) * frac) as usize).max(MIN_BULK_QUERIES);
         }
         let levels = self.num_occupied_levels();
         let (probe_ns, stream_ns) = lookup_costs();
@@ -253,23 +249,6 @@ impl GpuLsm {
         self.lookup_one(key).is_some()
     }
 
-    /// The paper's *bulk* lookup alternative (§IV-B): sort all queries once,
-    /// then resolve them against every occupied level with warp-style
-    /// grouped sweeps instead of per-query binary searches.
-    ///
-    /// Returns results in the original query order, identical to
-    /// [`GpuLsm::lookup`].  The trade-off it exists to expose: the query
-    /// sort is an extra bulk pass, but each level is then swept with
-    /// coalesced accesses rather than probed randomly — profitable when
-    /// there are many queries relative to the structure size, which is
-    /// exactly when [`GpuLsm::lookup`] dispatches here.
-    ///
-    /// This is [`GpuLsm::bulk_get`] under its historical name and kernel
-    /// label; both run the same grouped execution.
-    pub fn lookup_bulk_sorted(&self, queries: &[Key]) -> Vec<Option<Value>> {
-        self.bulk_get_with_kernel(queries, "lsm_lookup_bulk", "lookup_bulk")
-    }
-
     /// Warp-style bulk lookup — the paper's answer to the "PCIe tax" of
     /// issuing GPU queries one at a time: amortise the launch over a large
     /// batch and resolve it with *shared* work per warp-sized group.
@@ -292,30 +271,20 @@ impl GpuLsm {
     /// each) and only survivors join the sweep, so a mostly-missing batch
     /// skips whole levels.  Results are bit-identical to
     /// [`GpuLsm::lookup`], in the original query order.
+    ///
+    /// This is the paper's *bulk* lookup alternative (§IV-B): the query
+    /// sort is an extra bulk pass, but each level is then swept with
+    /// coalesced accesses rather than probed randomly — profitable when
+    /// there are many queries relative to the structure size, which is
+    /// exactly when [`GpuLsm::lookup`] dispatches here.
     pub fn bulk_get(&self, queries: &[Key]) -> Vec<Option<Value>> {
-        self.bulk_get_with_kernel(queries, "lsm_bulk_get", "bulk_get")
-    }
-
-    /// The warp-group width [`GpuLsm::bulk_get`] marches with: the
-    /// structure's `bulk_group` (default 64).
-    pub fn bulk_group_size(&self) -> usize {
-        self.bulk_group
-    }
-
-    /// Shared body of [`GpuLsm::bulk_get`] / [`GpuLsm::lookup_bulk_sorted`]:
-    /// sort, resolve with warp-style groups, scatter back.
-    fn bulk_get_with_kernel(
-        &self,
-        queries: &[Key],
-        kernel: &'static str,
-        timer_label: &'static str,
-    ) -> Vec<Option<Value>> {
+        let kernel = "lsm_bulk_get";
         self.op_activity.record_lookups(queries.len() as u64);
         self.device().metrics().record_launch(kernel);
         if queries.is_empty() {
             return Vec::new();
         }
-        self.device().timer().time(timer_label, || {
+        self.device().timer().time("bulk_get", || {
             // Sort the queries, remembering their original positions.
             let mut sorted_queries: Vec<Key> = queries.to_vec();
             let mut positions: Vec<u32> = (0..queries.len() as u32).collect();
@@ -332,6 +301,12 @@ impl GpuLsm {
             }
             results
         })
+    }
+
+    /// The warp-group width [`GpuLsm::bulk_get`] marches with: the
+    /// structure's `bulk_group` (default 64).
+    pub fn bulk_group_size(&self) -> usize {
+        self.bulk_group
     }
 
     /// Resolve an already-sorted query batch against every occupied level
@@ -585,16 +560,13 @@ mod tests {
             lsm.update(&batch).unwrap();
         }
         let queries: Vec<u32> = (0..2500).map(|i| (i * 17) % 2600).collect();
-        assert_eq!(
-            lsm.lookup_bulk_sorted(&queries),
-            lsm.lookup_individual(&queries)
-        );
+        assert_eq!(lsm.bulk_get(&queries), lsm.lookup_individual(&queries));
         // The adaptive entry point agrees with both, whichever it picked.
         assert_eq!(lsm.lookup(&queries), lsm.lookup_individual(&queries));
         // Empty query set and empty structure are handled.
-        assert!(lsm.lookup_bulk_sorted(&[]).is_empty());
+        assert!(lsm.bulk_get(&[]).is_empty());
         let empty = GpuLsm::new(device(), 8).unwrap();
-        assert_eq!(empty.lookup_bulk_sorted(&[1, 2]), vec![None, None]);
+        assert_eq!(empty.bulk_get(&[1, 2]), vec![None, None]);
         assert_eq!(empty.bulk_lookup_threshold(), usize::MAX);
     }
 
@@ -607,7 +579,7 @@ mod tests {
         let lsm = GpuLsm::bulk_build(device(), 1 << 12, &pairs).unwrap();
         let queries: Vec<u32> = (0..2048u32).map(|i| i * 8 + 2).collect(); // all absent
         let before = lsm.stats();
-        let bulk = lsm.lookup_bulk_sorted(&queries);
+        let bulk = lsm.bulk_get(&queries);
         assert_eq!(bulk, lsm.lookup_individual(&queries));
         assert!(bulk.iter().all(Option::is_none));
         let after = lsm.stats();
@@ -623,7 +595,7 @@ mod tests {
         }
         // Present keys still resolve through the pre-pass.
         let hits: Vec<u32> = (0..512u32).map(|k| k * 8).collect();
-        assert_eq!(lsm.lookup_bulk_sorted(&hits), lsm.lookup_individual(&hits));
+        assert_eq!(lsm.bulk_get(&hits), lsm.lookup_individual(&hits));
     }
 
     #[test]
@@ -657,10 +629,7 @@ mod tests {
             let mut queries: Vec<u32> = (0..1500).map(|i| (i * 13) % 1400).collect();
             queries.extend([0, 0, 7, 7, 7, 5000]);
             assert_eq!(lsm.bulk_get(&queries), lsm.lookup_individual(&queries));
-            assert_eq!(
-                lsm.lookup_bulk_sorted(&queries),
-                lsm.lookup_individual(&queries)
-            );
+            assert_eq!(lsm.lookup(&queries), lsm.lookup_individual(&queries));
         }
     }
 
@@ -701,21 +670,5 @@ mod tests {
         lsm.insert(&[(1, 1)]).unwrap();
         // Whatever the calibration says, tiny batches stay individual.
         assert!(lsm.bulk_lookup_threshold() >= super::MIN_BULK_QUERIES);
-    }
-
-    #[test]
-    fn per_instance_config_frac_controls_bulk_dispatch() {
-        // The explicit-config route to the dispatch fraction: no env var
-        // involved, and the override is scoped to this instance.
-        let config = crate::config::LsmConfig::default().bulk_lookup_frac(0.5);
-        let mut lsm = GpuLsm::with_config(device(), 1 << 12, &config).unwrap();
-        let pairs: Vec<(u32, u32)> = (0..4096u32).map(|k| (k, k)).collect();
-        lsm.insert(&pairs).unwrap();
-        assert_eq!(lsm.bulk_lookup_threshold(), 2048);
-        // An unconfigured instance of the same shape keeps the calibrated
-        // (or env-driven) threshold, which at minimum honours the floor.
-        let mut plain = GpuLsm::new(device(), 1 << 12).unwrap();
-        plain.insert(&pairs).unwrap();
-        assert!(plain.bulk_lookup_threshold() >= super::MIN_BULK_QUERIES);
     }
 }

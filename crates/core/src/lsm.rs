@@ -52,9 +52,6 @@ pub struct GpuLsm {
     /// Bloom filter bits per key for the levels this structure builds
     /// (0 = no filters).
     pub(crate) bloom_bits: u32,
-    /// Bulk-lookup dispatch fraction; `None` uses the calibrated cost
-    /// model.
-    pub(crate) bulk_lookup_frac: Option<f64>,
     /// Warp-style bulk-get group size (≥ 1).
     pub(crate) bulk_group: usize,
     /// The slab arena backing carry-chain level storage (`None` = arena
@@ -111,7 +108,6 @@ impl GpuLsm {
             merge_activity: Arc::default(),
             op_activity: Arc::default(),
             bloom_bits: config.bloom_bits.unwrap_or(DEFAULT_BITS_PER_KEY),
-            bulk_lookup_frac: config.bulk_lookup_frac,
             bulk_group: config.bulk_group.unwrap_or(DEFAULT_BULK_GROUP).max(1),
             arena: config
                 .arena

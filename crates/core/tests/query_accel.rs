@@ -38,10 +38,7 @@ fn assert_identical_answers(off: &GpuLsm, on: &GpuLsm, key_domain: u32) {
         off.lookup_individual(&queries),
         on.lookup_individual(&queries)
     );
-    assert_eq!(
-        off.lookup_bulk_sorted(&queries),
-        on.lookup_bulk_sorted(&queries)
-    );
+    assert_eq!(off.bulk_get(&queries), on.bulk_get(&queries));
     assert_eq!(off.lookup(&queries), on.lookup(&queries));
     let intervals: Vec<(u32, u32)> = vec![
         (0, key_domain / 4),

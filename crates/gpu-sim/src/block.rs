@@ -1,118 +1,16 @@
-//! Thread-block abstractions: shared-memory tiles and block contexts.
+//! Thread-block tile sizing.
 //!
 //! A CUDA thread block cooperates through a small, fast, programmer-managed
 //! shared memory (48 KB per SM on the K40c).  The paper's sort and merge
 //! primitives "aggressively use shared memory to achieve coalesced global
 //! memory accesses" (§IV-A): each block stages a tile of input in shared
 //! memory, works on it locally, and writes the finished tile back in one
-//! streaming pass.
-//!
-//! In this model a [`SharedMemory`] is a bounded scratch allocation whose
-//! capacity is checked against the device configuration, and a
-//! [`BlockContext`] describes one block's slice of a grid launch.  The
-//! primitives use [`tile_size_for`] to pick tile sizes that would actually
+//! streaming pass.  The primitives use [`tile_size_for`] (through
+//! [`crate::Device::preferred_tile`]) to pick tile sizes that would actually
 //! fit in shared memory on the modelled hardware, so the decomposition (and
 //! hence the number of global-memory passes) matches the real implementation.
 
 use crate::config::DeviceConfig;
-
-/// A bounded shared-memory scratch area for one thread block.
-#[derive(Debug)]
-pub struct SharedMemory {
-    capacity_bytes: usize,
-    used_bytes: usize,
-}
-
-impl SharedMemory {
-    /// Create a shared-memory arena with the device's per-SM capacity.
-    pub fn for_device(config: &DeviceConfig) -> Self {
-        SharedMemory {
-            capacity_bytes: config.shared_mem_per_sm,
-            used_bytes: 0,
-        }
-    }
-
-    /// Create a shared-memory arena with an explicit capacity (tests).
-    pub fn with_capacity(capacity_bytes: usize) -> Self {
-        SharedMemory {
-            capacity_bytes,
-            used_bytes: 0,
-        }
-    }
-
-    /// Allocate a typed scratch buffer of `len` elements, or `None` if it
-    /// would exceed the block's shared-memory budget.
-    pub fn alloc<T: Default + Clone>(&mut self, len: usize) -> Option<Vec<T>> {
-        let bytes = len * std::mem::size_of::<T>();
-        if self.used_bytes + bytes > self.capacity_bytes {
-            return None;
-        }
-        self.used_bytes += bytes;
-        Some(vec![T::default(); len])
-    }
-
-    /// Bytes currently allocated from this arena.
-    pub fn used_bytes(&self) -> usize {
-        self.used_bytes
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
-    /// Remaining bytes.
-    pub fn remaining_bytes(&self) -> usize {
-        self.capacity_bytes - self.used_bytes
-    }
-}
-
-/// Description of one thread block inside a grid launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockContext {
-    /// Index of this block within the grid.
-    pub block_id: usize,
-    /// Number of blocks in the grid.
-    pub grid_dim: usize,
-    /// Threads per block.
-    pub block_dim: usize,
-    /// First element index this block is responsible for.
-    pub tile_start: usize,
-    /// One past the last element index this block is responsible for.
-    pub tile_end: usize,
-}
-
-impl BlockContext {
-    /// Number of elements in this block's tile.
-    pub fn tile_len(&self) -> usize {
-        self.tile_end - self.tile_start
-    }
-
-    /// Global thread id of `lane` within this block.
-    pub fn thread_id(&self, lane: usize) -> usize {
-        self.block_id * self.block_dim + lane
-    }
-}
-
-/// Split `n` elements into block tiles of `tile` elements each, producing one
-/// [`BlockContext`] per tile.
-pub fn make_blocks(n: usize, tile: usize, block_dim: usize) -> Vec<BlockContext> {
-    assert!(tile > 0, "tile size must be positive");
-    let grid_dim = n.div_ceil(tile).max(1);
-    (0..grid_dim)
-        .map(|block_id| {
-            let tile_start = block_id * tile;
-            let tile_end = ((block_id + 1) * tile).min(n);
-            BlockContext {
-                block_id,
-                grid_dim,
-                block_dim,
-                tile_start,
-                tile_end,
-            }
-        })
-        .collect()
-}
 
 /// Choose a per-block tile size (in elements of `elem_bytes` each) such that
 /// the tile plus a same-sized staging area fit in the device's shared
@@ -130,58 +28,6 @@ pub fn tile_size_for(config: &DeviceConfig, elem_bytes: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shared_memory_enforces_capacity() {
-        let mut sm = SharedMemory::with_capacity(1024);
-        let a: Option<Vec<u32>> = sm.alloc(128); // 512 bytes
-        assert!(a.is_some());
-        assert_eq!(sm.used_bytes(), 512);
-        let b: Option<Vec<u64>> = sm.alloc(128); // 1024 bytes > remaining 512
-        assert!(b.is_none());
-        assert_eq!(sm.remaining_bytes(), 512);
-    }
-
-    #[test]
-    fn shared_memory_for_device_uses_config() {
-        let cfg = DeviceConfig::k40c();
-        let sm = SharedMemory::for_device(&cfg);
-        assert_eq!(sm.capacity_bytes(), 48 * 1024);
-    }
-
-    #[test]
-    fn make_blocks_covers_range_exactly() {
-        let blocks = make_blocks(1000, 256, 128);
-        assert_eq!(blocks.len(), 4);
-        assert_eq!(blocks[0].tile_start, 0);
-        assert_eq!(blocks[3].tile_end, 1000);
-        let covered: usize = blocks.iter().map(|b| b.tile_len()).sum();
-        assert_eq!(covered, 1000);
-        // Tiles are contiguous and non-overlapping.
-        for w in blocks.windows(2) {
-            assert_eq!(w[0].tile_end, w[1].tile_start);
-        }
-    }
-
-    #[test]
-    fn make_blocks_handles_empty_input() {
-        let blocks = make_blocks(0, 256, 128);
-        assert_eq!(blocks.len(), 1);
-        assert_eq!(blocks[0].tile_len(), 0);
-    }
-
-    #[test]
-    fn thread_id_is_global() {
-        let b = BlockContext {
-            block_id: 2,
-            grid_dim: 4,
-            block_dim: 128,
-            tile_start: 512,
-            tile_end: 768,
-        };
-        assert_eq!(b.thread_id(0), 256);
-        assert_eq!(b.thread_id(127), 383);
-    }
 
     #[test]
     fn tile_size_is_warp_multiple_and_fits() {

@@ -5,13 +5,11 @@
 //! memory per SM).  All parameters are plain data so alternative devices can
 //! be described for sensitivity studies.
 
-use serde::{Deserialize, Serialize};
-
 /// Hardware description of the modelled GPU device.
 ///
-/// Only parameters that influence the cost model or the execution
-/// decomposition are included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Only parameters that the cost model or the shared-memory tile sizing
+/// read are included.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceConfig {
     /// Human-readable device name (for reports).
     pub name: String,
@@ -19,8 +17,6 @@ pub struct DeviceConfig {
     pub num_sms: usize,
     /// SIMD width of a warp (32 on all NVIDIA architectures).
     pub warp_size: usize,
-    /// Maximum number of threads per block supported by the device.
-    pub max_threads_per_block: usize,
     /// Core clock in GHz (used to convert latency cycles to time).
     pub clock_ghz: f64,
     /// Peak global-memory (DRAM) bandwidth in GB/s.
@@ -33,16 +29,8 @@ pub struct DeviceConfig {
     /// Global-memory access latency in cycles (uncoalesced accesses pay this
     /// per transaction when latency-bound).
     pub dram_latency_cycles: f64,
-    /// L2 cache capacity in bytes (1.5 MB on the K40c).
-    pub l2_cache_bytes: usize,
-    /// L1 cache capacity per SM in bytes (16 KB configuration on the K40c).
-    pub l1_cache_bytes: usize,
     /// Shared-memory capacity per SM in bytes (48 KB on the K40c).
     pub shared_mem_per_sm: usize,
-    /// Total device (global) memory in bytes.
-    pub global_mem_bytes: usize,
-    /// Size in bytes of a single memory transaction (cache line / segment).
-    pub transaction_bytes: usize,
     /// Maximum number of resident warps per SM (used to model latency
     /// hiding: more resident warps hide more latency).
     pub max_warps_per_sm: usize,
@@ -55,16 +43,11 @@ impl DeviceConfig {
             name: "NVIDIA Tesla K40c (modelled)".to_string(),
             num_sms: 15,
             warp_size: 32,
-            max_threads_per_block: 1024,
             clock_ghz: 0.745,
             dram_bandwidth_gbps: 288.0,
             streaming_efficiency: 0.75,
             dram_latency_cycles: 350.0,
-            l2_cache_bytes: 1_572_864,                 // 1.5 MB
-            l1_cache_bytes: 16 * 1024,                 // 16 KB per SM
-            shared_mem_per_sm: 48 * 1024,              // 48 KB
-            global_mem_bytes: 12 * 1024 * 1024 * 1024, // 12 GB
-            transaction_bytes: 128,
+            shared_mem_per_sm: 48 * 1024, // 48 KB
             max_warps_per_sm: 64,
         }
     }
@@ -76,24 +59,13 @@ impl DeviceConfig {
             name: "small-test-device".to_string(),
             num_sms: 2,
             warp_size: 32,
-            max_threads_per_block: 256,
             clock_ghz: 1.0,
             dram_bandwidth_gbps: 32.0,
             streaming_efficiency: 0.75,
             dram_latency_cycles: 200.0,
-            l2_cache_bytes: 64 * 1024,
-            l1_cache_bytes: 8 * 1024,
             shared_mem_per_sm: 16 * 1024,
-            global_mem_bytes: 256 * 1024 * 1024,
-            transaction_bytes: 128,
             max_warps_per_sm: 32,
         }
-    }
-
-    /// Total number of hardware lanes (SMs × warps × warp size); an upper
-    /// bound on useful thread-level parallelism for the cost model.
-    pub fn total_lanes(&self) -> usize {
-        self.num_sms * self.max_warps_per_sm * self.warp_size
     }
 
     /// Effective sustainable DRAM bandwidth in bytes per second.
@@ -122,7 +94,6 @@ mod tests {
         let cfg = DeviceConfig::k40c();
         assert_eq!(cfg.num_sms, 15);
         assert_eq!(cfg.warp_size, 32);
-        assert_eq!(cfg.l2_cache_bytes, 1_572_864);
         assert_eq!(cfg.shared_mem_per_sm, 48 * 1024);
         assert!((cfg.dram_bandwidth_gbps - 288.0).abs() < f64::EPSILON);
     }
@@ -138,12 +109,6 @@ mod tests {
     fn cycle_time_is_reciprocal_of_clock() {
         let cfg = DeviceConfig::small();
         assert!((cfg.cycle_seconds() - 1e-9).abs() < 1e-15);
-    }
-
-    #[test]
-    fn total_lanes_is_product() {
-        let cfg = DeviceConfig::small();
-        assert_eq!(cfg.total_lanes(), 2 * 32 * 32);
     }
 
     #[test]

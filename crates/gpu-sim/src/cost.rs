@@ -110,15 +110,6 @@ impl CostModel {
             .map(|s| self.estimate_kernel(s))
             .fold(CostEstimate::zero(), |acc, e| acc.add(&e))
     }
-
-    /// Convenience: modelled throughput in million elements per second for a
-    /// phase that processed `elements` elements.
-    pub fn throughput_m_per_sec(&self, elements: usize, estimate: &CostEstimate) -> f64 {
-        if estimate.total_seconds <= 0.0 {
-            return f64::INFINITY;
-        }
-        elements as f64 / estimate.total_seconds / 1.0e6
-    }
 }
 
 #[cfg(test)]
@@ -171,25 +162,5 @@ mod tests {
         let est = model.estimate_registry(&reg);
         let single = model.estimate_kernel(&snap(1 << 20, 0, 0));
         assert!((est.total_seconds - 2.0 * single.total_seconds).abs() < 1e-9);
-    }
-
-    #[test]
-    fn throughput_is_elements_over_time() {
-        let model = CostModel::new(DeviceConfig::k40c());
-        let est = CostEstimate {
-            bandwidth_seconds: 1.0,
-            latency_seconds: 0.0,
-            total_seconds: 1.0,
-        };
-        let tp = model.throughput_m_per_sec(2_000_000, &est);
-        assert!((tp - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_estimate_has_infinite_throughput() {
-        let model = CostModel::new(DeviceConfig::k40c());
-        assert!(model
-            .throughput_m_per_sec(10, &CostEstimate::zero())
-            .is_infinite());
     }
 }

@@ -1,30 +1,23 @@
-//! The [`Device`]: configuration, memory tracking, metrics and kernel launch
-//! entry points, bundled the way a CUDA context bundles them.
+//! The [`Device`]: configuration, traffic metrics, phase timers and the
+//! cost model, bundled the way a CUDA context bundles a device's state.
 //!
-//! Kernels are expressed as data-parallel closures over element indices or
-//! block tiles; they execute on a rayon thread pool, which stands in for the
-//! GPU's block scheduler (blocks are independent, may run in any order, and
-//! synchronise only at kernel boundaries — exactly the guarantees CUDA
-//! gives).
+//! Kernels themselves are ordinary (rayon-parallel) Rust in the primitives
+//! and the LSM; each one records the global-memory traffic it performs in
+//! [`Device::metrics`], and [`Device::estimated_time`] turns that traffic
+//! into modelled device time.
 
-use std::sync::Arc;
-
-use rayon::prelude::*;
-
-use crate::block::{make_blocks, tile_size_for, BlockContext};
+use crate::block::tile_size_for;
 use crate::config::DeviceConfig;
 use crate::cost::{CostEstimate, CostModel};
 use crate::event::PhaseTimer;
-use crate::memory::{DeviceBuffer, MemoryTracker};
-use crate::metrics::{AccessPattern, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 
 /// A modelled GPU device: the entry point of the simulation substrate.
 #[derive(Debug)]
 pub struct Device {
     config: DeviceConfig,
-    metrics: Arc<MetricsRegistry>,
-    memory: Arc<MemoryTracker>,
-    timer: Arc<PhaseTimer>,
+    metrics: MetricsRegistry,
+    timer: PhaseTimer,
     cost_model: CostModel,
 }
 
@@ -34,9 +27,8 @@ impl Device {
         let cost_model = CostModel::new(config.clone());
         Device {
             config,
-            metrics: Arc::new(MetricsRegistry::new()),
-            memory: Arc::new(MemoryTracker::new()),
-            timer: Arc::new(PhaseTimer::new()),
+            metrics: MetricsRegistry::new(),
+            timer: PhaseTimer::new(),
             cost_model,
         }
     }
@@ -54,11 +46,6 @@ impl Device {
     /// The per-kernel traffic metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// The device-memory tracker.
-    pub fn memory(&self) -> &MemoryTracker {
-        &self.memory
     }
 
     /// The phase timer shared by operations on this device.
@@ -82,103 +69,10 @@ impl Device {
         self.timer.reset();
     }
 
-    // ------------------------------------------------------------------
-    // Memory management
-    // ------------------------------------------------------------------
-
-    /// Allocate a device buffer and copy `data` into it.
-    pub fn alloc_from_slice<T: Clone>(&self, label: &str, data: &[T]) -> DeviceBuffer<T> {
-        DeviceBuffer::from_vec(label, data.to_vec(), Some(self.memory.clone()))
-    }
-
-    /// Allocate a zero-initialised device buffer of `len` elements.
-    pub fn alloc_zeroed<T: Default + Clone>(&self, label: &str, len: usize) -> DeviceBuffer<T> {
-        DeviceBuffer::from_vec(label, vec![T::default(); len], Some(self.memory.clone()))
-    }
-
-    /// Take ownership of a host vector as a device buffer without copying.
-    pub fn adopt_vec<T>(&self, label: &str, data: Vec<T>) -> DeviceBuffer<T> {
-        DeviceBuffer::from_vec(label, data, Some(self.memory.clone()))
-    }
-
-    // ------------------------------------------------------------------
-    // Kernel launches
-    // ------------------------------------------------------------------
-
-    /// Element-parallel kernel: apply `f(index, &mut element)` to every
-    /// element of `data` in parallel.  Accounts one coalesced read and write
-    /// per element.
-    pub fn for_each_mut<T, F>(&self, kernel: &str, data: &mut [T], f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        self.metrics.record_launch(kernel);
-        let bytes = std::mem::size_of_val(data) as u64;
-        self.metrics
-            .record_read(kernel, bytes, AccessPattern::Coalesced);
-        self.metrics
-            .record_write(kernel, bytes, AccessPattern::Coalesced);
-        data.par_iter_mut().enumerate().for_each(|(i, x)| f(i, x));
-    }
-
-    /// Map-parallel kernel: produce one output element per input element.
-    /// Accounts coalesced reads of the input and coalesced writes of the
-    /// output.
-    pub fn map<T, U, F>(&self, kernel: &str, data: &[T], f: F) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(usize, &T) -> U + Sync,
-    {
-        self.metrics.record_launch(kernel);
-        self.metrics.record_read(
-            kernel,
-            std::mem::size_of_val(data) as u64,
-            AccessPattern::Coalesced,
-        );
-        self.metrics.record_write(
-            kernel,
-            (data.len() * std::mem::size_of::<U>()) as u64,
-            AccessPattern::Coalesced,
-        );
-        data.par_iter().enumerate().map(|(i, x)| f(i, x)).collect()
-    }
-
-    /// Block-parallel kernel over an index range: `n` items are split into
-    /// block tiles of `tile` items, and `f(block)` runs once per block, with
-    /// blocks executing in parallel.  No traffic is accounted automatically
-    /// — the kernel body records what it actually touches.
-    pub fn launch_blocks<F>(&self, kernel: &str, n: usize, tile: usize, f: F)
-    where
-        F: Fn(&BlockContext) + Sync,
-    {
-        self.metrics.record_launch(kernel);
-        let blocks = make_blocks(n, tile, self.config.max_threads_per_block);
-        blocks.par_iter().for_each(&f);
-    }
-
-    /// Block-parallel kernel that produces one result per block (e.g. a
-    /// per-block histogram or partial reduction), returned in block order.
-    pub fn launch_blocks_map<R, F>(&self, kernel: &str, n: usize, tile: usize, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(&BlockContext) -> R + Sync,
-    {
-        self.metrics.record_launch(kernel);
-        let blocks = make_blocks(n, tile, self.config.max_threads_per_block);
-        blocks.par_iter().map(&f).collect()
-    }
-
     /// The tile size (in elements of `elem_bytes` bytes) that fits this
     /// device's shared memory; primitives use it to pick their block tiles.
     pub fn preferred_tile(&self, elem_bytes: usize) -> usize {
         tile_size_for(&self.config, elem_bytes)
-    }
-
-    /// Number of worker threads actually backing the block scheduler.
-    pub fn worker_threads(&self) -> usize {
-        rayon::current_num_threads()
     }
 }
 
@@ -191,69 +85,37 @@ impl Default for Device {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn for_each_mut_applies_function_to_all_elements() {
-        let device = Device::new(DeviceConfig::small());
-        let mut buf = device.alloc_from_slice("v", &[1u32, 2, 3, 4]);
-        device.for_each_mut("double", buf.as_mut_slice(), |_, x| *x *= 2);
-        assert_eq!(buf.as_slice(), &[2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn map_produces_one_output_per_input() {
-        let device = Device::new(DeviceConfig::small());
-        let input: Vec<u32> = (0..1000).collect();
-        let out = device.map("square", &input, |_, &x| (x as u64) * (x as u64));
-        assert_eq!(out.len(), 1000);
-        assert_eq!(out[31], 31 * 31);
-    }
+    use crate::metrics::AccessPattern;
 
     #[test]
     fn kernel_launch_records_traffic() {
         let device = Device::new(DeviceConfig::small());
-        let mut buf = device.alloc_zeroed::<u32>("zeros", 256);
-        device.for_each_mut("touch", buf.as_mut_slice(), |i, x| *x = i as u32);
-        let snap = device.metrics().snapshot();
+        let metrics = device.metrics();
+        metrics.record_launch("touch");
+        metrics.record_read("touch", 256 * 4, AccessPattern::Coalesced);
+        metrics.record_write("touch", 256 * 4, AccessPattern::Coalesced);
+        let snap = metrics.snapshot();
         assert_eq!(snap["touch"].launches, 1);
         assert_eq!(snap["touch"].coalesced_read_bytes, 256 * 4);
         assert_eq!(snap["touch"].coalesced_write_bytes, 256 * 4);
     }
 
     #[test]
-    fn launch_blocks_covers_all_tiles() {
-        let device = Device::new(DeviceConfig::small());
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let covered = AtomicUsize::new(0);
-        device.launch_blocks("tiles", 10_000, 1024, |b| {
-            covered.fetch_add(b.tile_len(), Ordering::Relaxed);
-        });
-        assert_eq!(covered.load(Ordering::Relaxed), 10_000);
-    }
-
-    #[test]
-    fn launch_blocks_map_returns_in_block_order() {
-        let device = Device::new(DeviceConfig::small());
-        let starts = device.launch_blocks_map("starts", 1000, 300, |b| b.tile_start);
-        assert_eq!(starts, vec![0, 300, 600, 900]);
-    }
-
-    #[test]
-    fn allocation_tracked_by_device_memory() {
-        let device = Device::new(DeviceConfig::small());
-        let buf = device.alloc_zeroed::<u64>("big", 1024);
-        assert!(device.memory().live_bytes() >= buf.size_bytes());
-        drop(buf);
-        assert_eq!(device.memory().live_bytes(), 0);
-    }
-
-    #[test]
     fn estimated_time_grows_with_traffic() {
         let device = Device::new(DeviceConfig::small());
-        let mut buf = device.alloc_zeroed::<u64>("t", 1 << 16);
-        device.for_each_mut("pass1", buf.as_mut_slice(), |i, x| *x = i as u64);
+        // One streaming pass over 2^16 eight-byte elements.
+        let pass = |kernel| {
+            let bytes = 8 << 16;
+            device
+                .metrics()
+                .record_read(kernel, bytes, AccessPattern::Coalesced);
+            device
+                .metrics()
+                .record_write(kernel, bytes, AccessPattern::Coalesced);
+        };
+        pass("pass1");
         let t1 = device.estimated_time().total_seconds;
-        device.for_each_mut("pass2", buf.as_mut_slice(), |_, x| *x += 1);
+        pass("pass2");
         let t2 = device.estimated_time().total_seconds;
         assert!(t2 > t1);
         device.reset_counters();

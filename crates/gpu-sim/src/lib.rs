@@ -1,28 +1,20 @@
-//! # gpu-sim — a bulk-synchronous GPU execution and cost model
+//! # gpu-sim — a memory-traffic and cost model of the GPU
 //!
 //! The GPU LSM paper (Ashkiani et al., IPDPS 2018) was evaluated on an NVIDIA
 //! Tesla K40c with CUDA.  This reproduction runs on CPUs, so this crate
-//! provides the *substrate* the rest of the workspace is built on: a model of
-//! the GPU's bulk-synchronous execution style together with a memory/cost
-//! model that lets higher layers report both CPU wall-clock time and an
-//! estimate of what the same number of memory transactions would cost on the
-//! modelled device.
+//! models the two things the paper's results depend on:
 //!
-//! The crate deliberately models the aspects of the GPU that the paper's
-//! algorithms actually exploit:
+//! * **Memory traffic** — every kernel of the primitives and the LSM records
+//!   the global-memory loads and stores it performs, and whether they are
+//!   coalesced or scattered, in the device's [`MetricsRegistry`]
+//!   ([`metrics`]).
+//! * **A cost model** — [`CostModel`] ([`cost`]) turns that traffic into an
+//!   estimated K40c time using the configured DRAM bandwidth and latency
+//!   ([`DeviceConfig`]).
 //!
-//! * **Bulk synchrony** — work is issued as *kernels* over a grid of thread
-//!   blocks; blocks are independent and are executed in parallel
-//!   ([`Device::launch_blocks`], [`Device::launch_blocks_map`]).
-//! * **The memory hierarchy** — global memory is allocated in
-//!   [`DeviceBuffer`]s whose sizes are tracked; kernels account the global
-//!   loads/stores they perform and whether accesses are coalesced
-//!   ([`metrics`]), and the [`cost`] module converts those counts into an
-//!   estimated device time using the configured DRAM bandwidth and latency.
-//! * **Warp-wide cooperation** — `ballot`, `any`, `all`, shuffles and warp
-//!   scans ([`warp`]) used by the multisplit and the query validation stages.
-//! * **Shared-memory tiling** — block-level tiles bounded by the configured
-//!   shared-memory size ([`block`]).
+//! Alongside them sit the wall-clock [`PhaseTimer`] ([`event`]), the
+//! shared-memory tile sizing the primitives use ([`Device::preferred_tile`])
+//! and the warp ballot the multisplit builds on ([`warp`]).
 //!
 //! The design goal is *shape preservation*: the relative costs of the GPU
 //! LSM, the sorted-array baseline and the cuckoo hash table are governed by
@@ -32,12 +24,22 @@
 //! ## Example
 //!
 //! ```
-//! use gpu_sim::{Device, DeviceConfig};
+//! use gpu_sim::{AccessPattern, Device, DeviceConfig};
 //!
 //! let device = Device::new(DeviceConfig::k40c());
-//! let mut buf = device.alloc_from_slice("numbers", &[3u32, 1, 4, 1, 5]);
-//! device.for_each_mut("double", buf.as_mut_slice(), |_i, x| *x *= 2);
-//! assert_eq!(buf.as_slice(), &[6, 2, 8, 2, 10]);
+//! // A kernel streams 1 MiB in and out, then runs 4096 binary-search probes.
+//! let metrics = device.metrics();
+//! metrics.record_launch("sort_pass");
+//! metrics.record_read("sort_pass", 1 << 20, AccessPattern::Coalesced);
+//! metrics.record_write("sort_pass", 1 << 20, AccessPattern::Coalesced);
+//! metrics.record_scattered_probes("search", 4096, 4);
+//! assert_eq!(metrics.snapshot()["search"].scattered_transactions, 4096);
+//!
+//! // The cost model turns the recorded traffic into modelled device time.
+//! let modelled = device.estimated_time();
+//! assert!(modelled.total_seconds > 0.0);
+//! device.reset_counters();
+//! assert_eq!(device.estimated_time().total_seconds, 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -47,15 +49,12 @@ pub mod config;
 pub mod cost;
 pub mod device;
 pub mod event;
-pub mod memory;
 pub mod metrics;
 pub mod warp;
 
-pub use block::{BlockContext, SharedMemory};
 pub use config::DeviceConfig;
 pub use cost::{CostEstimate, CostModel};
 pub use device::Device;
-pub use event::PhaseTimer;
-pub use memory::{DeviceBuffer, DoubleBuffer, MemoryTracker};
-pub use metrics::{AccessPattern, KernelMetrics, MetricsRegistry};
+pub use event::{PhaseStats, PhaseTimer};
+pub use metrics::{AccessPattern, KernelMetricsSnapshot, MetricsRegistry};
 pub use warp::{WarpOps, WARP_SIZE};

@@ -29,47 +29,22 @@ pub enum AccessPattern {
 
 /// Traffic counters for a single named kernel.
 #[derive(Debug, Default)]
-pub struct KernelMetrics {
+struct KernelMetrics {
     /// Number of kernel launches recorded under this name.
-    pub launches: AtomicU64,
+    launches: AtomicU64,
     /// Bytes read from global memory with coalesced access.
-    pub coalesced_read_bytes: AtomicU64,
+    coalesced_read_bytes: AtomicU64,
     /// Bytes written to global memory with coalesced access.
-    pub coalesced_write_bytes: AtomicU64,
+    coalesced_write_bytes: AtomicU64,
     /// Bytes read from global memory with scattered access.
-    pub scattered_read_bytes: AtomicU64,
+    scattered_read_bytes: AtomicU64,
     /// Bytes written to global memory with scattered access.
-    pub scattered_write_bytes: AtomicU64,
+    scattered_write_bytes: AtomicU64,
     /// Number of scattered transactions (each pays latency).
-    pub scattered_transactions: AtomicU64,
+    scattered_transactions: AtomicU64,
 }
 
 impl KernelMetrics {
-    /// Total bytes moved to or from global memory.
-    pub fn total_bytes(&self) -> u64 {
-        self.coalesced_read_bytes.load(Ordering::Relaxed)
-            + self.coalesced_write_bytes.load(Ordering::Relaxed)
-            + self.scattered_read_bytes.load(Ordering::Relaxed)
-            + self.scattered_write_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes moved with coalesced access.
-    pub fn coalesced_bytes(&self) -> u64 {
-        self.coalesced_read_bytes.load(Ordering::Relaxed)
-            + self.coalesced_write_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes moved with scattered access.
-    pub fn scattered_bytes(&self) -> u64 {
-        self.scattered_read_bytes.load(Ordering::Relaxed)
-            + self.scattered_write_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Number of scattered (latency-bound) transactions.
-    pub fn scattered_txn(&self) -> u64 {
-        self.scattered_transactions.load(Ordering::Relaxed)
-    }
-
     fn snapshot(&self) -> KernelMetricsSnapshot {
         KernelMetricsSnapshot {
             launches: self.launches.load(Ordering::Relaxed),
@@ -82,7 +57,7 @@ impl KernelMetrics {
     }
 }
 
-/// A plain-data copy of [`KernelMetrics`] for reporting.
+/// A plain-data copy of one kernel's traffic counters, for reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelMetricsSnapshot {
     /// Number of launches.
@@ -122,7 +97,7 @@ impl MetricsRegistry {
     }
 
     /// Get (or create) the metrics entry for `kernel`.
-    pub fn kernel(&self, kernel: &str) -> std::sync::Arc<KernelMetrics> {
+    fn kernel(&self, kernel: &str) -> std::sync::Arc<KernelMetrics> {
         if let Some(m) = self.kernels.read().get(kernel) {
             return m.clone();
         }

@@ -1,10 +1,9 @@
 //! Warp-wide cooperative primitives.
 //!
 //! NVIDIA GPUs execute threads in SIMD groups of 32 ("warps") and expose
-//! fast intra-warp communication: `__ballot`, `__any`, `__all`, shuffles and
-//! warp scans.  The paper uses warp-wide ballots in the final validation
-//! stage of count/range queries (§IV-C stage 5) and the two-bucket
-//! multisplit (reference \[20\]) builds on ballot + population count.
+//! fast intra-warp communication such as `__ballot`.  The two-bucket
+//! multisplit (reference \[20\]) builds on ballot + population count, which
+//! is all this module provides.
 //!
 //! Here a *warp* is modelled as a group of `WARP_SIZE` lanes whose per-lane
 //! values are materialised in small stack arrays; the cooperative operations
@@ -32,21 +31,6 @@ impl WarpOps {
         )
     }
 
-    /// `__any`: true iff any active lane's predicate holds.
-    pub fn any(predicates: &[bool]) -> bool {
-        Self::ballot(predicates) != 0
-    }
-
-    /// `__all`: true iff every active lane's predicate holds.
-    pub fn all(predicates: &[bool]) -> bool {
-        let active = if predicates.len() >= WARP_SIZE {
-            u32::MAX
-        } else {
-            (1u32 << predicates.len()) - 1
-        };
-        Self::ballot(predicates) == active && !predicates.is_empty()
-    }
-
     /// Population count of a ballot mask restricted to lanes strictly below
     /// `lane` — the classic "rank within warp" idiom used by multisplit:
     /// a lane's output offset is the number of earlier lanes whose predicate
@@ -56,53 +40,6 @@ impl WarpOps {
         let mask = if lane == 0 { 0 } else { (1u64 << lane) - 1 } as u32;
         (ballot & mask).count_ones()
     }
-
-    /// `__shfl_up`-style exclusive prefix sum of per-lane `values`.
-    /// Returns (per-lane exclusive prefix, warp total).
-    pub fn exclusive_scan(values: &[u32]) -> (Vec<u32>, u32) {
-        debug_assert!(values.len() <= WARP_SIZE);
-        let mut out = Vec::with_capacity(values.len());
-        let mut acc = 0u32;
-        for &v in values {
-            out.push(acc);
-            acc += v;
-        }
-        (out, acc)
-    }
-
-    /// Warp-wide reduction (sum) of per-lane values.
-    pub fn reduce_sum(values: &[u32]) -> u32 {
-        debug_assert!(values.len() <= WARP_SIZE);
-        values.iter().sum()
-    }
-
-    /// `__shfl`: every lane reads the value held by `src_lane`.
-    /// Returns `None` when `src_lane` is inactive (out of range).
-    pub fn shuffle(values: &[u32], src_lane: usize) -> Option<u32> {
-        values.get(src_lane).copied()
-    }
-
-    /// Lane index of the first set bit of a ballot (the "leader" lane), or
-    /// `None` if no lane voted.
-    pub fn leader(ballot: u32) -> Option<usize> {
-        if ballot == 0 {
-            None
-        } else {
-            Some(ballot.trailing_zeros() as usize)
-        }
-    }
-}
-
-/// Iterate a slice in warp-sized groups, yielding `(warp_start, warp_items)`.
-///
-/// This mirrors how a kernel assigns 32 consecutive queries to the 32 lanes
-/// of a warp so they can cooperate on coalesced writes (paper §IV-C stages
-/// 3 and 5).
-pub fn warp_chunks<T>(items: &[T]) -> impl Iterator<Item = (usize, &[T])> {
-    items
-        .chunks(WARP_SIZE)
-        .enumerate()
-        .map(|(w, chunk)| (w * WARP_SIZE, chunk))
 }
 
 #[cfg(test)]
@@ -122,15 +59,6 @@ mod tests {
     }
 
     #[test]
-    fn any_and_all() {
-        assert!(WarpOps::any(&[false, true]));
-        assert!(!WarpOps::any(&[false, false]));
-        assert!(WarpOps::all(&[true, true, true]));
-        assert!(!WarpOps::all(&[true, false]));
-        assert!(!WarpOps::all(&[]));
-    }
-
-    #[test]
     fn rank_below_counts_earlier_voters() {
         let ballot = 0b1011_0101u32;
         assert_eq!(WarpOps::rank_below(ballot, 0), 0);
@@ -138,38 +66,6 @@ mod tests {
         assert_eq!(WarpOps::rank_below(ballot, 3), 2);
         assert_eq!(WarpOps::rank_below(ballot, 8), 5);
         assert_eq!(WarpOps::rank_below(ballot, 32), 5);
-    }
-
-    #[test]
-    fn exclusive_scan_matches_manual() {
-        let (scan, total) = WarpOps::exclusive_scan(&[3, 1, 4, 1, 5]);
-        assert_eq!(scan, vec![0, 3, 4, 8, 9]);
-        assert_eq!(total, 14);
-    }
-
-    #[test]
-    fn reduce_and_shuffle() {
-        assert_eq!(WarpOps::reduce_sum(&[1, 2, 3]), 6);
-        assert_eq!(WarpOps::shuffle(&[10, 20, 30], 1), Some(20));
-        assert_eq!(WarpOps::shuffle(&[10, 20, 30], 5), None);
-    }
-
-    #[test]
-    fn leader_is_lowest_set_lane() {
-        assert_eq!(WarpOps::leader(0), None);
-        assert_eq!(WarpOps::leader(0b100), Some(2));
-        assert_eq!(WarpOps::leader(u32::MAX), Some(0));
-    }
-
-    #[test]
-    fn warp_chunks_cover_slice() {
-        let items: Vec<u32> = (0..70).collect();
-        let chunks: Vec<_> = warp_chunks(&items).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0].0, 0);
-        assert_eq!(chunks[1].0, 32);
-        assert_eq!(chunks[2].0, 64);
-        assert_eq!(chunks[2].1.len(), 6);
     }
 
     #[test]

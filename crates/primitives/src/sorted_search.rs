@@ -9,7 +9,7 @@
 //! query sort must be paid first).  The GPU LSM uses the individual
 //! approach; this primitive exists so the trade-off can be reproduced and
 //! measured (see the `ablation` benchmarks and
-//! `GpuLsm::lookup_bulk_sorted`).
+//! `GpuLsm::bulk_get`).
 //!
 //! The algorithm is the standard merge-path style decomposition: needles are
 //! cut into tiles; each tile's first needle is located in the haystack with

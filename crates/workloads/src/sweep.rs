@@ -6,10 +6,8 @@
 //! whole sweep down while preserving the ratios between `b` and `n` — which
 //! is what the shapes in the paper's tables depend on.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of one experiment sweep.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepConfig {
     /// Total number of elements `n` (paper: 2^27 for Table II, 2^24 for
     /// Tables III/IV).
